@@ -31,6 +31,15 @@ def _order_weight_times(n: int, lam: float, value: float) -> float:
     return math.copysign(math.exp(log_term), value)
 
 
+def order_weighted_sum(orders, values, lam: float) -> float:
+    """``sum_n n! e^{2 lam n} value_n``: the weight index enters every weighted
+    norm only through this last contraction over chaos orders."""
+    total = 0.0
+    for n, v in zip(orders, values):
+        total += _order_weight_times(n, lam, v)
+    return total
+
+
 class ChaosVector:
     """Finite chaos expansion: map chaos order -> kernel component."""
 
@@ -120,11 +129,13 @@ class ChaosVector:
 
     # -- metric --------------------------------------------------------------
 
+    def order_norms_sq(self) -> dict[int, float]:
+        """Squared L2 norm of each component; free of any weight index."""
+        return {n: k.norm_sq() for n, k in self.components.items()}
+
     def gnorm_sq(self, lam: float) -> float:
-        total = 0.0
-        for n, k in self.components.items():
-            total += _order_weight_times(n, lam, k.norm_sq())
-        return total
+        norms = self.order_norms_sq()
+        return order_weighted_sum(norms, norms.values(), lam)
 
     def gnorm(self, lam: float) -> float:
         return math.sqrt(self.gnorm_sq(lam))

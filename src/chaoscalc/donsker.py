@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chaos import ChaosProcess, ChaosVector
+from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
 from .grid import GridSpec
 from .kernels import LayeredKernel, SymKernel
-from .vmbv import integrate_plain
-from .volterra import FbmKernel, OuKernel, assumption_report, kg_apply
+from .vmbv import _check_gate, _integrate
+from .volterra import FbmKernel, OuKernel, kernel_action
 
 
 def _check_aligned_time(grid: GridSpec, t: float, name: str) -> int:
@@ -157,11 +157,20 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
 
     if isinstance(lambdas, (int, float)):
         lambdas = [float(lambdas)]
+    # one kernel action, one set of diagnostic tables and one integral serve
+    # every weight index; each index is gated from the same tables
+    action = kernel_action(kernel, grid, t)
+    tables = action.diagnostics(proc)
+    reports = [tables.report(lam) for lam in lambdas]
+    for report in reports:
+        _check_gate(report)
+    kg = action.apply(proc)
+    value_norms = _integrate(proc, kg, t_cell, None, None, None)[0].order_norms_sq()
+
     rows = []
     a3_by_lambda = {}
     bound_by_lambda = {}
-    for lam in lambdas:
-        report = assumption_report(proc, kernel, lam, t)
+    for lam, report in zip(lambdas, reports):
         bounds = []
         for s_cell in range(t_cell):
             s_left = grid.t_left(s_cell)
@@ -173,8 +182,7 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
         dominated = all(
             a <= b * (1 + 1e-12) + 1e-300 for a, b in zip(report.a3, bounds)
         )
-        result = integrate_plain(proc, kernel, t, lam=lam)
-        norm_sq = result.value.gnorm_sq(-lam)
+        norm_sq = order_weighted_sum(value_norms, value_norms.values(), -lam)
         rows.append(
             DonskerLambdaRow(
                 lam=lam,
@@ -189,7 +197,6 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
         bound_by_lambda[lam] = tuple(bounds)
 
     # layer-0 values of the kernel action at a few cells, keyed (s_cell, order)
-    kg = kg_apply(proc, kernel, t)
     eps_cell = grid.snap_down(eps)
     kg_layer0 = {}
     sign_ok = True

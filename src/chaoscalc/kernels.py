@@ -305,6 +305,16 @@ def inner_product(f, g) -> float:
     return f.inner(g)
 
 
+def layer_weights(grid: GridSpec, q: int) -> np.ndarray:
+    """Lebesgue volume of the region {max cell index == r} in ``[0,T)^q``.
+
+    Computed as ``t_{r+1}^q - t_r^q`` with physical times, which avoids
+    overflow of ``(r+1)^q`` against ``step^q`` at large order.
+    """
+    t = np.arange(grid.cells + 1) * grid.step
+    return t[1:] ** q - t[:-1] ** q
+
+
 class LayeredKernel:
     """Symmetric kernel whose value depends only on the maximal cell index.
 
@@ -333,17 +343,11 @@ class LayeredKernel:
         return LayeredKernel(order, grid, layers)
 
     def max_layer_weights(self, order: int | None = None) -> np.ndarray:
-        """Lebesgue volume of the region {max cell index == r} at this order.
-
-        Computed as ``t_{r+1}^q - t_r^q`` with physical times, which avoids
-        overflow of ``(r+1)^q`` against ``step^q`` at large order.
-        """
-        q = self.order if order is None else order
-        t = np.arange(self.grid.cells + 1) * self.grid.step
-        return t[1:] ** q - t[:-1] ** q
+        """Lebesgue volume of the region {max cell index == r} at this order."""
+        return layer_weights(self.grid, self.order if order is None else order)
 
     def is_zero(self) -> bool:
-        return not np.any(self.layers)
+        return not self.layers.any()
 
     def support_cells(self) -> set[int]:
         nz = np.nonzero(self.layers)[0]
@@ -457,9 +461,9 @@ class TimeSlotSymKernel:
         return self.order - 1
 
     def is_zero(self) -> bool:
-        z = not np.any(self.phi)
+        z = not self.phi.any()
         if self.extra is not None:
-            z = z and not np.any(self.extra)
+            z = z and not self.extra.any()
         return z
 
     def support_cells(self) -> set[int]:
@@ -495,21 +499,17 @@ class TimeSlotSymKernel:
             return TimeSlotSymKernel(self.order, self.grid, self.phi.copy(), extra)
         raise TypeError(f"cannot add {type(other).__name__} to TimeSlotSymKernel")
 
-    def _layer_weights(self, q: int) -> np.ndarray:
-        t = np.arange(self.grid.cells + 1) * self.grid.step
-        return t[1:] ** q - t[:-1] ** q
-
     def _gg_inner(self, other: "TimeSlotSymKernel") -> float:
         """<G1, P G2> for the raw (pre-symmetrization) families."""
         q = self._q
         step = self.grid.step
         M = self.grid.cells
-        wq = self._layer_weights(q)
+        wq = layer_weights(self.grid, q)
         direct = step * float(np.einsum("sr,sr,r->", self.phi, other.phi, wq))
         if q == 1:
             swapped = step * step * float(np.sum(self.phi * other.phi.T))
         else:
-            wq1 = self._layer_weights(q - 1)
+            wq1 = layer_weights(self.grid, q - 1)
             swapped = 0.0
             idx = np.arange(M)
             for r in range(M):
@@ -527,7 +527,7 @@ class TimeSlotSymKernel:
         q = self._q
         step = self.grid.step
         M = self.grid.cells
-        wq = self._layer_weights(q)
+        wq = layer_weights(self.grid, q)
         idx = np.arange(M)
         total = 0.0
         for s in range(M):
@@ -549,7 +549,7 @@ class TimeSlotSymKernel:
             if self.extra is not None:
                 total += other._g_layered_inner(self.extra)
             if self.extra is not None and other.extra is not None:
-                wq1 = self._layer_weights(self.order)
+                wq1 = layer_weights(self.grid, self.order)
                 total += float(np.dot(wq1, self.extra * other.extra))
             return total
         if isinstance(other, LayeredKernel):
@@ -558,7 +558,7 @@ class TimeSlotSymKernel:
             same_grid(self.grid, other.grid)
             total = self._g_layered_inner(other.layers)
             if self.extra is not None:
-                total += float(np.dot(self._layer_weights(self.order), self.extra * other.layers))
+                total += float(np.dot(layer_weights(self.grid, self.order), self.extra * other.layers))
             return total
         if isinstance(other, SymKernel):
             return self.to_sparse().inner(other)

@@ -172,9 +172,26 @@ def pettis_time_integral(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
     return total.scale(grid.step)
 
 
+def _deterministic_product(phi: ChaosVector, psi: ChaosVector, max_order: int | None):
+    """Wick and pointwise product when one factor has no component above order
+    0: plain scaling of the other, in whatever storage form it has.  None when
+    both factors are random."""
+    for const, other in ((psi, phi), (phi, psi)):
+        if set(const.components) <= {0}:
+            c = const.expectation()
+            return ChaosVector(other.grid, {
+                n: k.scale(c) for n, k in other.components.items()
+                if max_order is None or n <= max_order
+            })
+    return None
+
+
 def wick(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) -> ChaosVector:
     """Wick product: chaos-order convolution of symmetrized tensor products."""
     same_grid(phi.grid, psi.grid)
+    scaled = _deterministic_product(phi, psi, max_order)
+    if scaled is not None:
+        return scaled
     comps: dict[int, SymKernel] = {}
     for n, ka in phi.components.items():
         for m, kb in psi.components.items():
@@ -200,6 +217,9 @@ def pointwise(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) 
     zero-contraction term survives and the result equals the Wick product.
     """
     same_grid(phi.grid, psi.grid)
+    scaled = _deterministic_product(phi, psi, max_order)
+    if scaled is not None:
+        return scaled
     comps: dict[int, SymKernel] = {}
     for n, ka in phi.components.items():
         if not isinstance(ka, SymKernel):

@@ -35,7 +35,7 @@ from .operators import (
     strongly_independent,
     wick,
 )
-from .volterra import AssumptionReport, VolterraKernel, _stieltjes_weights, assumption_report, kg_apply
+from .volterra import AssumptionReport, KernelAction, VolterraKernel, _stieltjes_weights, kernel_action
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,16 @@ def _check_cap(natural: int, cap: int | None):
         raise TruncationOverflowError(natural, cap)
 
 
-def _integrate(phi, kernel, t, product, vol, lam, max_order):
-    grid = phi.grid
-    t_cell = grid.snap_down(t)
-    if t_cell < 1:
-        raise ValueError(f"t={t} must cover at least one cell")
-    report = assumption_report(phi, kernel, lam, t)
+def _diagnose(action: KernelAction, phi: ChaosProcess, lam: float) -> AssumptionReport:
+    report = action.diagnostics(phi).report(lam)
     _check_gate(report)
+    return report
 
-    kg = kg_apply(phi, kernel, t)
+
+def _integrate(phi, kg, t_cell, product, vol, max_order):
+    """Skorohod step plus drift integral of the kernel action ``kg`` of
+    ``phi``, multiplied per cell by the volatility when ``product`` is set."""
+    grid = phi.grid
     if product is None:
         natural = phi.max_order() + 1
         integrand = kg
@@ -103,21 +104,35 @@ def _integrate(phi, kernel, t, product, vol, lam, max_order):
     upper = grid.t_left(t_cell)
     skor = skorohod(integrand, 0.0, upper)
     drift = pettis_time_integral(drift_values, 0.0, upper)
-    value = skor.add(drift)
+    return skor.add(drift), skor, drift
+
+
+def _integrate_gated(phi, kernel, t, product, vol, lam, max_order):
+    """Build the kernel action once, gate its diagnostics at ``lam``, and
+    integrate."""
+    action = kernel_action(kernel, phi.grid, t)
+    report = _diagnose(action, phi, lam)
+    value, skor, drift = _integrate(phi, action.apply(phi), action.t_cell, product, vol, max_order)
     return value, skor, drift, report
+
+
+def _wick_volatility_norm(vol: ChaosProcess, t_cell: int, lam: float) -> float:
+    d10 = vol.grid.step * sum(vol.at(s).gnorm_sq(-lam) for s in range(t_cell))
+    if not math.isfinite(d10):
+        raise IntegrabilityError("D(10)", "volatility norm integral non-finite")
+    return d10
 
 
 def integrate_plain(phi: ChaosProcess, kernel: VolterraKernel, t: float,
                     lam: float = 1.0, max_order: int | None = None) -> VmbvResult:
     """Integral with unit volatility: Skorohod of the kernel action plus the
     weak integral of its diagonal derivative."""
-    value, skor, drift, report = _integrate(phi, kernel, t, None, None, lam, max_order)
+    value, skor, drift, report = _integrate_gated(phi, kernel, t, None, None, lam, max_order)
     return VmbvResult(value, skor, drift, report, {})
 
 
 def integrate_sigma(phi: ChaosProcess, sigma, kernel: VolterraKernel, t: float,
-                    lam: float = 1.0, nu: float = 0.7,
-                    max_order: int | None = None) -> VmbvResult:
+                    lam: float = 1.0, max_order: int | None = None) -> VmbvResult:
     """Integral with a smooth volatility entering both terms pointwise.
 
     ``max_order`` defaults to integrand order + volatility order + 1; an
@@ -125,10 +140,10 @@ def integrate_sigma(phi: ChaosProcess, sigma, kernel: VolterraKernel, t: float,
     """
     grid = phi.grid
     vol = _sigma_process(grid, sigma)
-    value, skor, drift, report = _integrate(phi, kernel, t, pointwise, vol, lam, max_order)
+    value, skor, drift, report = _integrate_gated(phi, kernel, t, pointwise, vol, lam, max_order)
     t_cell = grid.snap_down(t)
     sig_sq = grid.step * sum(vol.at(s).gnorm_sq(lam) for s in range(t_cell))
-    extra = {"C(2)": sig_sq, "sigma_max_order": vol.max_order(), "nu": nu}
+    extra = {"C(2)": sig_sq, "sigma_max_order": vol.max_order()}
     if not math.isfinite(sig_sq):
         raise IntegrabilityError("C(2)", "volatility norm integral non-finite")
     return VmbvResult(value, skor, drift, report, extra)
@@ -139,11 +154,8 @@ def integrate_wick(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: float,
     """Integral with a generalized volatility entering through Wick products."""
     grid = phi.grid
     vol = _sigma_process(grid, Sigma)
-    t_cell = grid.snap_down(t)
-    d10 = grid.step * sum(vol.at(s).gnorm_sq(-lam) for s in range(t_cell))
-    if not math.isfinite(d10):
-        raise IntegrabilityError("D(10)", "volatility norm integral non-finite")
-    value, skor, drift, report = _integrate(phi, kernel, t, wick, vol, lam, max_order)
+    d10 = _wick_volatility_norm(vol, grid.snap_down(t), lam)
+    value, skor, drift, report = _integrate_gated(phi, kernel, t, wick, vol, lam, max_order)
     extra = {"D(10)": d10, "sigma_max_order": vol.max_order()}
     return VmbvResult(value, skor, drift, report, extra)
 
@@ -155,20 +167,22 @@ def integrate_strongind(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: flo
     The gate checks the kernel action against the volatility at every cell
     (the action mixes future integrand values into each cell, so integrand
     support alone is not enough).  The result is verified against the Wick
-    pipeline, which it must match exactly.
+    pipeline on the same kernel action, which it must match exactly.
     """
     grid = phi.grid
     vol = _sigma_process(grid, Sigma)
-    t_cell = grid.snap_down(t)
-    kg = kg_apply(phi, kernel, t)
-    for s in range(t_cell):
+    action = kernel_action(kernel, grid, t)
+    kg = action.apply(phi)
+    for s in range(action.t_cell):
         rep = strongly_independent(kg.at(s), vol.at(s))
         if not rep.disjoint:
             raise IndependenceError(s, f"supports overlap at cell {rep.first_overlap}")
-    value, skor, drift, report = _integrate(phi, kernel, t, pointwise, vol, lam, max_order)
-    wick_result = integrate_wick(phi, vol, kernel, t, lam=lam, max_order=max_order)
-    mismatch = value.sub(wick_result.value).gnorm(0.0)
-    scale = max(value.gnorm(0.0), wick_result.value.gnorm(0.0), 1.0)
+    report = _diagnose(action, phi, lam)
+    value, skor, drift = _integrate(phi, kg, action.t_cell, pointwise, vol, max_order)
+    _wick_volatility_norm(vol, action.t_cell, lam)
+    wick_value = _integrate(phi, kg, action.t_cell, wick, vol, max_order)[0]
+    mismatch = value.sub(wick_value).gnorm(0.0)
+    scale = max(value.gnorm(0.0), wick_value.gnorm(0.0), 1.0)
     if mismatch > 1e-9 * scale:
         raise AssertionError(
             f"strong-independence integral deviates from Wick pipeline by {mismatch}"

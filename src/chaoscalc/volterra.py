@@ -16,6 +16,16 @@ The built-in kernel families:
   integral reproduces the power-law covariance
   ``(t^{2H} + s^{2H} - |t-s|^{2H}) / 2``; at H = 1/2 it collapses to 1,
 * a user-supplied table of node values.
+
+The kernel action ``(K phi)(s) = g(t,s) phi(s) + sum_u w_u (phi(u) - phi(s))``
+is linear in the cell values of ``phi``, so at a fixed horizon it is one
+matrix ``A(t) = diag(g - sum_u W) + W`` (``KernelAction``).  It is built once
+per integral and acts on each chaos order as one matmul, over the stacked
+layers of layered kernels or the canonical tuples of sparse ones.  The
+integrability diagnostics A(3), B(4), B(5) and their aggregate are norms on
+the weighted scale, so they come from lambda-free per-order tables
+(``DiagnosticTables``); the weight index enters only as the last
+contraction with the order weights ``n! e^{-2 lam n}``.
 """
 
 from __future__ import annotations
@@ -23,11 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from .chaos import ChaosProcess, ChaosVector
+from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
 from .grid import GridSpec
+from .kernels import LayeredKernel, SymKernel, layer_weights, multiplicity
 
 _FBM_QUAD_RELTOL = 1e-9
 
@@ -295,6 +307,145 @@ def _stieltjes_weights(k: VolterraKernel, grid: GridSpec, s_cell: int, t_cell: i
     return kernel_measure(k, grid, s_rep, grid.t_left(s_cell + 1), grid.t_left(t_cell))
 
 
+# Elements per temporary array of cell-pair differences in the diagnostics;
+# larger tables are processed in blocks of cells.
+_DIFF_BLOCK = 1 << 18
+
+
+class _OrderStack:
+    """The order-``n`` components of a process at the cells below ``t``, one
+    row per cell in shared coordinates; a row's squared norm is
+    ``row**2 @ norm_weights``.
+
+    The coordinates are the layers when every component is layered, else the
+    canonical tuples; layered and time-slot components are then densified,
+    as adding them to a sparse kernel would.
+    """
+
+    def __init__(self, grid: GridSpec, order: int, comps: list):
+        self.grid = grid
+        self.order = order
+        if order > 0 and all(c is None or isinstance(c, LayeredKernel) for c in comps):
+            self.keys = None
+            zero = np.zeros(grid.cells)
+            self.rows = np.array([zero if c is None else c.layers for c in comps])
+            self.norm_weights = layer_weights(grid, order)
+            return
+        sparse = [c if c is None or isinstance(c, SymKernel) else c.to_sparse() for c in comps]
+        index: dict[tuple[int, ...], int] = {}
+        for c in sparse:
+            if c is not None:
+                for tup in c.entries:
+                    index.setdefault(tup, len(index))
+        self.keys = list(index)
+        self.rows = np.zeros((len(comps), len(index)))
+        for i, c in enumerate(sparse):
+            if c is not None:
+                for tup, v in c.entries.items():
+                    self.rows[i, index[tup]] = v
+        mult = np.array([multiplicity(tup) for tup in self.keys], dtype=float)
+        self.norm_weights = grid.step ** order * mult
+
+    def kernel(self, row: np.ndarray):
+        if self.keys is None:
+            return LayeredKernel(self.order, self.grid, row)
+        return SymKernel(self.order, self.grid, {self.keys[i]: float(row[i]) for i in np.flatnonzero(row)})
+
+
+def _order_stacks(phi: ChaosProcess, t_cell: int) -> list[_OrderStack]:
+    cells = [phi.at(s).components for s in range(t_cell)]
+    orders = sorted(set().union(*cells))
+    return [_OrderStack(phi.grid, n, [c.get(n) for c in cells]) for n in orders]
+
+
+@dataclass(frozen=True)
+class KernelAction:
+    """The kernel action at one horizon ``t`` as a fixed matrix.
+
+    Row ``s`` of ``matrix`` holds the coefficients of ``(K phi)(s)`` in the
+    cell values ``phi(0), ..., phi(t_cell - 1)``:
+
+        A(t) = diag(g - sum_u W) + W,
+
+    with ``g[s] = g(t, s)`` at the cell midpoint and ``W[s, u]`` the exact
+    Stieltjes weight of cell ``u`` over ``(s, t)``.  Cells at or above ``t``
+    get no weight and have no column.
+    """
+
+    grid: GridSpec
+    t: float
+    g: np.ndarray
+    weights: np.ndarray
+    matrix: np.ndarray
+    clipped_cells: int
+
+    @property
+    def t_cell(self) -> int:
+        return len(self.g)
+
+    def apply(self, phi: ChaosProcess) -> ChaosProcess:
+        """``K phi`` at every cell, one matmul per chaos order; cells at or
+        above ``t`` map to zero."""
+        grid = self.grid
+        comps: list[dict] = [{} for _ in range(self.t_cell)]
+        for stack in _order_stacks(phi, self.t_cell):
+            for s, row in enumerate(self.matrix @ stack.rows):
+                if row.any():
+                    comps[s][stack.order] = stack.kernel(row)
+        values = [ChaosVector(grid, c) for c in comps]
+        values += [ChaosVector.zero(grid)] * (grid.cells - self.t_cell)
+        return ChaosProcess.from_values(grid, values)
+
+    def diagnostics(self, phi: ChaosProcess) -> "DiagnosticTables":
+        """Per-order, per-cell squared norms behind the integrability
+        conditions; no weight index enters."""
+        t_cell = self.t_cell
+        w = self.weights
+        abs_w = np.abs(w)
+        g_sq = self.g * self.g
+        orders, a3, b4, b5, aggregate = [], [], [], [], []
+        for stack in _order_stacks(phi, t_cell):
+            x, m = stack.rows, stack.norm_weights
+            a3_n = np.empty(t_cell)
+            b5_n = np.empty(t_cell)
+            block = max(1, _DIFF_BLOCK // x.size)
+            for lo in range(0, t_cell, block):
+                hi = min(lo + block, t_cell)
+                diff = x[None, :, :] - x[lo:hi, None, :]  # [s, u] -> phi(u) - phi(s)
+                a3_n[lo:hi] = np.sum(abs_w[lo:hi] * ((diff * diff) @ m), axis=1)
+                stieltjes = np.einsum("su,suk->sk", w[lo:hi], diff)
+                b5_n[lo:hi] = (stieltjes * stieltjes) @ m
+            action = self.matrix @ x
+            orders.append(stack.order)
+            a3.append(a3_n)
+            b4.append(g_sq * ((x * x) @ m))
+            b5.append(b5_n)
+            aggregate.append((action * action) @ m)
+
+        def table(rows):
+            return np.array(rows).reshape(len(orders), t_cell)
+
+        return DiagnosticTables(self.grid, self.t, tuple(orders), table(a3), table(b4),
+                                table(b5), table(aggregate), self.clipped_cells)
+
+
+def kernel_action(k: VolterraKernel, grid: GridSpec, t: float) -> KernelAction:
+    """Build the kernel action matrix of ``k`` at horizon ``t``."""
+    t_cell = grid.snap_down(t)
+    if t_cell < 1:
+        raise ValueError(f"t={t} must cover at least one cell")
+    g = np.empty(t_cell)
+    weights = np.zeros((t_cell, t_cell))
+    clipped = 0
+    for s in range(t_cell):
+        g[s], was_clipped = k.evaluate_clipped(t, grid.t_mid(s), grid.step)
+        mw = _stieltjes_weights(k, grid, s, t_cell)
+        weights[s, list(mw.cells)] = mw.weights
+        clipped += int(was_clipped) + int(mw.clipped)
+    matrix = weights + np.diag(g - weights.sum(axis=1))
+    return KernelAction(grid, t, g, weights, matrix, clipped)
+
+
 def kg_apply(phi: ChaosProcess, k: VolterraKernel, t: float) -> ChaosProcess:
     """Kernel action on a process: for each cell ``s`` below ``t``,
 
@@ -303,29 +454,7 @@ def kg_apply(phi: ChaosProcess, k: VolterraKernel, t: float) -> ChaosProcess:
     with ``w`` the exact Stieltjes cell weights over ``(s, t)``.  Cells at or
     above ``t`` map to zero.
     """
-    grid = phi.grid
-    t_cell = grid.snap_down(t)
-    if t_cell < 1:
-        raise ValueError(f"t={t} must cover at least one cell")
-
-    def value_at(s_cell: int) -> ChaosVector:
-        if s_cell >= t_cell:
-            return ChaosVector.zero(grid)
-        s_rep = grid.t_mid(s_cell)
-        g_ts, _ = k.evaluate_clipped(t, s_rep, grid.step)
-        base = phi.at(s_cell)
-        out = base.scale(g_ts)
-        mw = _stieltjes_weights(k, grid, s_cell, t_cell)
-        wsum = 0.0
-        for u, w in mw.items():
-            if w != 0.0:
-                out = out.add(phi.at(u).scale(w))
-                wsum += w
-        if wsum != 0.0:
-            out = out.add(base.scale(-wsum))
-        return out
-
-    return ChaosProcess.from_function(grid, value_at)
+    return kernel_action(k, phi.grid, t).apply(phi)
 
 
 @dataclass(frozen=True)
@@ -367,49 +496,49 @@ class AssumptionReport:
         return None
 
 
+@dataclass(frozen=True)
+class DiagnosticTables:
+    """Lambda-free tables of the integrability conditions, ``[order, cell]``.
+
+    Row ``i`` belongs to chaos order ``orders[i]``.  Per cell ``s``: ``a3``
+    is the Stieltjes integral of ``|phi_n(u) - phi_n(s)|^2``, ``b4`` the
+    squared norm of ``g(t, s) phi_n(s)``, ``b5`` that of the Stieltjes part
+    ``sum_u w_u (phi_n(u) - phi_n(s))`` and ``aggregate`` that of the whole
+    action.  A weight index enters only in ``report``, as the contraction
+    with the order weights ``n! e^{-2 lam n}``.
+    """
+
+    grid: GridSpec
+    t: float
+    orders: tuple[int, ...]
+    a3: np.ndarray
+    b4: np.ndarray
+    b5: np.ndarray
+    aggregate: np.ndarray
+    clipped_cells: int
+
+    def _contract(self, lam: float, values) -> float:
+        return order_weighted_sum(self.orders, map(float, values), -lam)
+
+    def report(self, lam: float) -> AssumptionReport:
+        """The diagnostics at weight index ``-lam``."""
+        step = self.grid.step
+        a3 = tuple(self._contract(lam, column) for column in self.a3.T)
+        a3_s_max = 0.0
+        for s, a in enumerate(a3):
+            a3_s_max = max(a3_s_max, a * self.grid.t_left(s))
+        return AssumptionReport(
+            lam=lam,
+            t=self.t,
+            a3=a3,
+            b4=step * self._contract(lam, self.b4.sum(axis=1)),
+            b5=step * self._contract(lam, self.b5.sum(axis=1)),
+            aggregate=step * self._contract(lam, self.aggregate.sum(axis=1)),
+            clipped_cells=self.clipped_cells,
+            a3_times_s_max=a3_s_max,
+        )
+
+
 def assumption_report(phi: ChaosProcess, k: VolterraKernel, lam: float, t: float) -> AssumptionReport:
     """Evaluate the integrability diagnostics at weight index ``-lam``."""
-    grid = phi.grid
-    t_cell = grid.snap_down(t)
-    if t_cell < 1:
-        raise ValueError(f"t={t} must cover at least one cell")
-
-    a3 = []
-    clipped = 0
-    b4 = 0.0
-    b5 = 0.0
-    aggregate = 0.0
-    a3_s_max = 0.0
-    kg = kg_apply(phi, k, t)
-    for s_cell in range(t_cell):
-        base = phi.at(s_cell)
-        s_rep = grid.t_mid(s_cell)
-        g_ts, was_clipped = k.evaluate_clipped(t, s_rep, grid.step)
-        if was_clipped:
-            clipped += 1
-        mw = _stieltjes_weights(k, grid, s_cell, t_cell)
-        if mw.clipped:
-            clipped += 1
-        a3_val = 0.0
-        stieltjes = ChaosVector.zero(grid)
-        for u, w in mw.items():
-            if w == 0.0:
-                continue
-            diff = phi.at(u).sub(base)
-            a3_val += abs(w) * diff.gnorm_sq(-lam)
-            stieltjes = stieltjes.add(diff.scale(w))
-        a3.append(a3_val)
-        a3_s_max = max(a3_s_max, a3_val * grid.t_left(s_cell))
-        b4 += grid.step * g_ts * g_ts * base.gnorm_sq(-lam)
-        b5 += grid.step * stieltjes.gnorm_sq(-lam)
-        aggregate += grid.step * kg.at(s_cell).gnorm_sq(-lam)
-    return AssumptionReport(
-        lam=lam,
-        t=t,
-        a3=tuple(a3),
-        b4=b4,
-        b5=b5,
-        aggregate=aggregate,
-        clipped_cells=clipped,
-        a3_times_s_max=a3_s_max,
-    )
+    return kernel_action(k, phi.grid, t).diagnostics(phi).report(lam)

@@ -1,0 +1,90 @@
+"""The kernel action as one matrix and the lambda-free diagnostic tables,
+against the cell-by-cell algorithms of ``dense_ref``."""
+
+from collections import Counter
+
+import pytest
+
+import chaoscalc.donsker as donsker_mod
+import chaoscalc.vmbv as vmbv_mod
+from chaoscalc import (
+    ChaosProcess,
+    ChaosVector,
+    OuKernel,
+    TurbulenceKernel,
+    assumption_report,
+    donsker_process,
+    donsker_vmbv_experiment,
+    kg_apply,
+    make_grid,
+)
+from chaoscalc.testing import random_chaos_process, rng_from
+from chaoscalc.volterra import KernelAction, kernel_action
+from dense_ref import assumption_report_per_cell, kg_apply_per_cell
+
+GRID = make_grid(1.0, 16)
+GRID12 = make_grid(1.0, 12)  # a step that is not a power of two: the singular kernel clips
+LAMBDAS = (0.5, 1.0, 2.0)
+CASES = {
+    "sparse-clipped": (random_chaos_process(GRID12, 2, rng_from(61)), TurbulenceKernel(alpha=1.0, nu=0.8)),
+    "donsker-layered": (donsker_process(GRID, 8, 0.25), OuKernel(alpha=1.2)),
+    "constant": (ChaosProcess.constant(GRID, ChaosVector.deterministic(GRID, 1.5)), OuKernel(alpha=0.7)),
+}
+
+
+def close(a: float, b: float, rel: float = 1e-12) -> bool:
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_per_cell_algorithm(name):
+    proc, kernel = CASES[name]
+    for lam in LAMBDAS:
+        got = assumption_report(proc, kernel, lam, 1.0)
+        want = assumption_report_per_cell(proc, kernel, lam, 1.0)
+        assert len(got.a3) == len(want.a3)
+        assert all(close(a, b) for a, b in zip(got.a3, want.a3))
+        for field in ("b4", "b5", "aggregate", "a3_times_s_max"):
+            assert close(getattr(got, field), getattr(want, field)), field
+        assert got.clipped_cells == want.clipped_cells
+    if name == "sparse-clipped":
+        assert got.clipped_cells > 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kg_apply_matches_per_cell_sum(name):
+    proc, kernel = CASES[name]
+    got = kg_apply(proc, kernel, 1.0)
+    want = kg_apply_per_cell(proc, kernel, 1.0)
+    for s in range(proc.grid.cells):
+        diff = got.at(s).sub(want[s]).gnorm(-1.0)
+        assert diff <= 1e-12 * max(want[s].gnorm(-1.0), 1e-300) or diff == 0.0
+
+
+def test_action_matrix_rows():
+    action = kernel_action(OuKernel(alpha=1.0), GRID, 0.5)
+    assert isinstance(action, KernelAction)
+    assert action.matrix.shape == (8, 8)
+    # strictly upper Stieltjes part; the diagonal absorbs minus the row sum
+    assert (action.weights.diagonal() == 0.0).all()
+    row_sums = action.matrix.sum(axis=1)
+    assert all(close(r, g, 1e-13) for r, g in zip(row_sums, action.g))
+    with pytest.raises(ValueError):
+        kernel_action(OuKernel(alpha=1.0), GRID, 0.01)
+
+
+def test_experiment_builds_one_action_one_table_one_integral(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(donsker_mod, "kernel_action", counted("build", donsker_mod.kernel_action))
+    monkeypatch.setattr(KernelAction, "apply", counted("apply", KernelAction.apply))
+    monkeypatch.setattr(KernelAction, "diagnostics", counted("tables", KernelAction.diagnostics))
+    monkeypatch.setattr(vmbv_mod, "skorohod", counted("skorohod", vmbv_mod.skorohod))
+    donsker_vmbv_experiment(1.0, 0.25, 1.0, 8, list(LAMBDAS), GRID)
+    assert calls == {"build": 1, "apply": 1, "tables": 1, "skorohod": 1}

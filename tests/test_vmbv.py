@@ -305,3 +305,33 @@ def test_stability_zero_perturbation():
     zero = ChaosProcess.constant(GRID, ChaosVector.zero(GRID))
     rows = stability_suite(phi, zero, OuKernel(alpha=1.0), 1.0, lam=0.5, n_max=4)
     assert all(r["residual"] == 0.0 for r in rows)
+
+
+def test_constant_volatility_scales_the_point_mass_integral(tmp_path):
+    """A deterministic volatility is plain scaling in every product mode,
+    also on layered kernels too large to densify."""
+    import json
+
+    from chaoscalc.cli import main
+    from chaoscalc.config import parse_config
+
+    obj = {
+        "grid": {"horizon": 1.0, "cells": 32},
+        "kernel": {"kind": "ou", "alpha": 1.0},
+        "integrand": {"builder": "donsker", "order": 12, "eps": 0.25},
+        "volatility": {"mode": "wick", "spec": {"builder": "constant", "value": 2.0}},
+        "t": 1.0,
+        "lambdas": [0.5, 1.0, 2.0],
+        "seed": 7,
+    }
+    cfg = parse_config(obj)
+    phi, vol, kernel = cfg.integrand(), cfg.volatility(), cfg.kernel()
+    want = integrate_plain(phi, kernel, 1.0).value.scale(2.0)
+    for integrate in (integrate_wick, integrate_sigma, integrate_strongind):
+        got = integrate(phi, vol, kernel, 1.0).value
+        for lam in cfg.lambdas:
+            assert got.sub(want).gnorm(-lam) <= 1e-12 * want.gnorm(-lam)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(obj))
+    assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
