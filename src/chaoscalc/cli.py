@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,18 +57,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CHAOSCALC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"CHAOSCALC_THREADS={env!r} is not an integer")
-    return 1
 
 
 def _run_identity_suite(args) -> int:
@@ -138,6 +125,8 @@ def _run_mc_compare(args) -> int:
     grid = make_grid(1.0, args.cells)
     seed = args.seed if args.seed is not None else 20260810
     n = args.paths
+    if n < 2:
+        raise ConfigError(f"--paths must be at least 2 for a sample variance, got {n}")
     rng = rng_from(seed)
     block = sample_noise_block(grid, n, seed + 1)
     rows = []
@@ -262,13 +251,7 @@ def _run_sweep(args) -> int:
                          n["drift_part"], res["expectation"]])
         return rows
 
-    n_threads = _threads(args)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            blocks = list(pool.map(run_point, points))
-    else:
-        blocks = [run_point(p) for p in points]
-    rows = [row for block in blocks for row in block]
+    rows = [row for point in points for row in run_point(point)]
     _write_csv(
         os.path.join(args.out, "sweep.csv"),
         ["cells", "t", "lambda", "norm_value", "norm_skorohod", "norm_drift", "expectation"],
@@ -286,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (or CHAOSCALC_THREADS)")
 
     sp = sub.add_parser("identity-suite", help="run the exact-identity battery")
     common(sp)

@@ -28,7 +28,7 @@ distinct orderings of the tuple, i.e. the Lebesgue volume of the orbit.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -55,6 +55,41 @@ def multiplicity(tup: tuple[int, ...]) -> int:
             run = 1
     m //= math.factorial(run)
     return m
+
+
+def run_lengths(tuples: np.ndarray) -> np.ndarray:
+    """Length of the run of equal cells that starts at each position of each
+    sorted row of an ``(nnz, n)`` tuple matrix; 0 inside a run."""
+    nnz, n = tuples.shape
+    differs = tuples[:, 1:] != tuples[:, :-1]
+    starts = np.ones((nnz, n), dtype=bool)
+    starts[:, 1:] = differs
+    ends = np.ones((nnz, n), dtype=bool)
+    ends[:, :-1] = differs
+    # the k-th run start and the k-th run end belong to the same run
+    first = starts.ravel().nonzero()[0]
+    runs = np.zeros(nnz * n, dtype=np.int64)
+    runs[first] = ends.ravel().nonzero()[0] - first + 1
+    return runs.reshape(nnz, n)
+
+
+# 20! is the largest factorial that fits in int64.
+_FACTORIALS = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
+
+
+def multiplicities(tuples: np.ndarray) -> np.ndarray:
+    """``multiplicity`` of every sorted row of an ``(nnz, n)`` tuple matrix.
+
+    Exact: int64 through order 20, Python integers (object dtype) above,
+    where ``n!`` no longer fits in int64.
+    """
+    n = tuples.shape[1]
+    if n < len(_FACTORIALS):
+        fact = _FACTORIALS
+    else:
+        fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=object)
+    # the run factorials of a row multiply to at most n!, so int64 holds them
+    return fact[n] // fact[run_lengths(tuples)].prod(axis=1)
 
 
 def sub_multisets(tup: tuple[int, ...], k: int) -> set[tuple[int, ...]]:
@@ -129,6 +164,18 @@ class SymKernel:
         for tup in self.entries:
             cells.update(tup)
         return cells
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical COO form: the ``(nnz, order)`` int tuple matrix, rows in
+        lexicographic order, and the matching coefficient vector."""
+        nnz = len(self.entries)
+        tuples = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
+                             count=nnz * self.order).reshape(nnz, self.order)
+        coef = np.fromiter(self.entries.values(), dtype=float, count=nnz)
+        if self.order == 0:  # at most one entry, and lexsort needs a key
+            return tuples, coef
+        rank = np.lexsort(tuples.T[::-1])
+        return tuples[rank], coef[rank]
 
     # -- linear structure ---------------------------------------------------
 

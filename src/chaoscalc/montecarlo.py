@@ -7,6 +7,15 @@ product of probabilists' Hermite polynomials ``He_{a_i}(xi_i)``.  Cell-basis
 coefficients convert to the orthonormal basis with the factor
 ``step^{n/2} * multiplicity``.
 
+``evaluate_block`` is a blocked gather over the canonical index arrays
+(``SymKernel.arrays``): one ``[degree, cell, path]`` Hermite table holds
+every factor, each tuple position selects the row ``He_run(xi_cell)`` of the
+run of equal cells that starts there (``He_0 = 1`` inside a run), and a block
+of entries multiplies its gathered rows and contracts them with
+``coef * multiplicity * step^{n/2}``.  Blocks keep each temporary near
+``_BLOCK_ELEMENTS`` values.  The summation order is fixed, so equal inputs
+give equal bytes.
+
 The generator is counter-based (Philox keyed by the seed), so path blocks
 are reproducible and safely parallelizable.
 """
@@ -20,7 +29,7 @@ import numpy as np
 
 from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec, same_grid
-from .kernels import LayeredKernel, SymKernel, multiplicity
+from .kernels import SymKernel, multiplicities, run_lengths
 
 
 @dataclass(frozen=True)
@@ -51,26 +60,21 @@ def sample_noise_block(grid: GridSpec, n_paths: int, seed: int) -> np.ndarray:
     return _generator(seed).standard_normal((n_paths, grid.cells))
 
 
-def _hermite_table(x: np.ndarray, max_degree: int) -> list[np.ndarray]:
-    """Probabilists' Hermite values He_0..He_max at every entry of x."""
-    table = [np.ones_like(x)]
+def _hermite_table(xi_block: np.ndarray, max_degree: int) -> np.ndarray:
+    """Probabilists' Hermite values, shape ``[degree, cell, path]``."""
+    x = xi_block.T
+    table = np.empty((max_degree + 1,) + x.shape)
+    table[0] = 1.0
     if max_degree >= 1:
-        table.append(x.copy())
+        table[1] = x
     for d in range(2, max_degree + 1):
-        table.append(x * table[d - 1] - (d - 1) * table[d - 2])
+        table[d] = x * table[d - 1] - (d - 1) * table[d - 2]
     return table
 
 
-def _counts(tup: tuple[int, ...]) -> list[tuple[int, int]]:
-    out = []
-    prev = None
-    for v in tup:
-        if v == prev:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-            prev = v
-    return out
+# Elements per gathered temporary: the entry block holds about this many
+# (entry, path) factors.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def evaluate_block(phi: ChaosVector, xi_block: np.ndarray) -> np.ndarray:
@@ -78,26 +82,31 @@ def evaluate_block(phi: ChaosVector, xi_block: np.ndarray) -> np.ndarray:
     grid = phi.grid
     if xi_block.ndim != 2 or xi_block.shape[1] != grid.cells:
         raise ValueError(f"xi block must be (paths, {grid.cells})")
+    n_paths = xi_block.shape[0]
+    terms = []
     max_deg = 0
-    sparse_comps: list[tuple[int, SymKernel]] = []
     for n, k in sorted(phi.components.items()):
-        if isinstance(k, LayeredKernel):
+        if not isinstance(k, SymKernel):
             k = k.to_sparse()
-        elif not isinstance(k, SymKernel):
-            raise TypeError(f"cannot evaluate {type(k).__name__} pathwise")
-        sparse_comps.append((n, k))
-        for tup in k.entries:
-            for _, cnt in _counts(tup):
-                max_deg = max(max_deg, cnt)
-    he = _hermite_table(xi_block, max_deg)
-    out = np.zeros(xi_block.shape[0])
-    for n, k in sparse_comps:
-        basis_factor = grid.step ** (n / 2.0)
-        for tup, c in k.entries.items():
-            term = np.full(xi_block.shape[0], c * multiplicity(tup) * basis_factor)
-            for cell, cnt in _counts(tup):
-                term = term * he[cnt][:, cell]
-            out += term
+        tuples, coef = k.arrays()
+        runs = run_lengths(tuples)
+        max_deg = max(max_deg, int(runs.max(initial=0)))
+        weight = coef * multiplicities(tuples).astype(float) * grid.step ** (n / 2.0)
+        # row of He_run(xi_cell) in the flattened table; He_0 = 1 inside a run
+        terms.append((runs * grid.cells + tuples, weight))
+    he = _hermite_table(xi_block, max_deg).reshape((max_deg + 1) * grid.cells, n_paths)
+    out = np.zeros(n_paths)
+    rows = max(1, _BLOCK_ELEMENTS // max(1, n_paths))
+    for he_rows, weight in terms:
+        if he_rows.shape[1] == 0:
+            out += weight.sum()
+            continue
+        for lo in range(0, len(weight), rows):
+            idx = he_rows[lo:lo + rows]
+            prod = he[idx[:, 0]]
+            for j in range(1, idx.shape[1]):
+                prod *= he[idx[:, j]]
+            out += weight[lo:lo + rows] @ prod
     return out
 
 
@@ -140,10 +149,11 @@ def mc_moments(phi: ChaosVector, n_samples: int, seed: int) -> McMoments:
     """Sample mean and variance with jackknife standard errors.
 
     The mean estimates the order-0 coefficient; the variance estimates the
-    squared plain norm minus the squared mean.
+    squared plain norm minus the squared mean.  The leave-one-out variances
+    behind ``se_variance`` need at least 3 samples.
     """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    if n_samples < 3:
+        raise ValueError(f"need at least 3 samples, got {n_samples}")
     xi = sample_noise_block(phi.grid, n_samples, seed)
     vals = evaluate_block(phi, xi)
     n = n_samples

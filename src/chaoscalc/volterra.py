@@ -39,7 +39,7 @@ from scipy.special import gamma as gamma_fn
 
 from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
 from .grid import GridSpec
-from .kernels import LayeredKernel, SymKernel, layer_weights, multiplicity
+from .kernels import LayeredKernel, SymKernel, layer_weights, multiplicities
 
 _FBM_QUAD_RELTOL = 1e-9
 
@@ -343,8 +343,8 @@ class _OrderStack:
             if c is not None:
                 for tup, v in c.entries.items():
                     self.rows[i, index[tup]] = v
-        mult = np.array([multiplicity(tup) for tup in self.keys], dtype=float)
-        self.norm_weights = grid.step ** order * mult
+        tuples = np.array(self.keys, dtype=np.int64).reshape(len(self.keys), order)
+        self.norm_weights = grid.step ** order * multiplicities(tuples).astype(float)
 
     def kernel(self, row: np.ndarray):
         if self.keys is None:

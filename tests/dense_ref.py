@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from chaoscalc import AssumptionReport, ChaosVector, GridSpec, SymKernel, kernel_measure
+from chaoscalc.kernels import multiplicity
 
 
 def dense_from_kernel(k) -> np.ndarray:
@@ -221,3 +222,30 @@ def assumption_report_per_cell(phi, k, lam: float, t: float) -> AssumptionReport
         aggregate += grid.step * kg[s].gnorm_sq(-lam)
     return AssumptionReport(lam=lam, t=t, a3=tuple(a3), b4=b4, b5=b5, aggregate=aggregate,
                             clipped_cells=clipped, a3_times_s_max=a3_s_max)
+
+
+def evaluate_block_per_entry(phi: ChaosVector, xi_block: np.ndarray) -> np.ndarray:
+    """Pathwise evaluation entry by entry: each canonical tuple contributes
+    ``c * multiplicity * step^{n/2} * prod_cells He_count(xi_cell)``."""
+    grid = phi.grid
+    comps = []
+    max_deg = 0
+    for n, k in sorted(phi.components.items()):
+        k = k if isinstance(k, SymKernel) else k.to_sparse()
+        comps.append((n, k))
+        for tup in k.entries:
+            max_deg = max([max_deg] + [tup.count(v) for v in tup])
+    he = [np.ones_like(xi_block)]
+    if max_deg >= 1:
+        he.append(xi_block.copy())
+    for d in range(2, max_deg + 1):
+        he.append(xi_block * he[d - 1] - (d - 1) * he[d - 2])
+    out = np.zeros(xi_block.shape[0])
+    for n, k in comps:
+        basis_factor = grid.step ** (n / 2.0)
+        for tup, c in k.entries.items():
+            term = np.full(xi_block.shape[0], c * multiplicity(tup) * basis_factor)
+            for cell in sorted(set(tup)):
+                term = term * he[tup.count(cell)][:, cell]
+            out += term
+    return out

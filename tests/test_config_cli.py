@@ -137,6 +137,13 @@ def test_cli_mc_compare(tmp_path):
         assert z < 4.0
 
 
+def test_cli_mc_compare_rejects_fewer_than_two_paths(tmp_path, capsys):
+    for paths in ("1", "0"):
+        assert run_cli(["mc-compare", "--cells", "4", "--paths", paths], tmp_path) == 2
+        assert "--paths must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "mc_compare.csv").exists()
+
+
 def test_cli_vmbv_and_determinism(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg_with(
@@ -155,25 +162,18 @@ def test_cli_vmbv_and_determinism(tmp_path):
     assert "norms" in payload["result"]
 
 
-def test_cli_sweep_with_threads(tmp_path):
+def test_cli_sweep_deterministic(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg_with(
         sweep={"lambdas": [0.5, 1.0], "t": [0.5, 1.0], "cells": [4, 8]},
     )))
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out2), "--threads", "4"]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out1)]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     lines = (out1 / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 2 * 2
-
-
-def test_cli_threads_env(tmp_path, monkeypatch):
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(cfg_with(sweep={"cells": [4, 8]})))
-    monkeypatch.setenv("CHAOSCALC_THREADS", "2")
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
 
 
 def test_cli_parse_error_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Pathwise evaluation and statistical cross-checks of the algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from chaoscalc import (
     ChaosProcess,
     ChaosVector,
     FbmKernel,
+    LayeredKernel,
     OuKernel,
+    TimeSlotSymKernel,
     SymKernel,
     evaluate,
     integrate_plain,
@@ -21,8 +24,11 @@ from chaoscalc import (
     sym_store,
     wick,
 )
+from chaoscalc.donsker import donsker_process
+from chaoscalc.kernels import multiplicities, multiplicity
 from chaoscalc.montecarlo import evaluate_block, sample_noise_block
 from chaoscalc.testing import random_chaos_process, random_chaos_vector, rng_from
+from dense_ref import evaluate_block_per_entry
 
 GRID = make_grid(1.0, 8)
 
@@ -165,6 +171,16 @@ def test_mc_moments_deterministic():
         mc_moments(ChaosVector.deterministic(GRID, 1.0), 1, 3)
 
 
+def test_mc_moments_needs_three_samples():
+    """Two samples leave one in each leave-one-out variance, which has no
+    spread to divide by."""
+    vec = ChaosVector.brownian_at(GRID, 1.0)
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        mc_moments(vec, 2, 3)
+    m = mc_moments(vec, 3, 3)
+    assert all(math.isfinite(v) for v in (m.mean, m.variance, m.se_mean, m.se_variance))
+
+
 def test_mc_moments_brownian_variance():
     m = mc_moments(ChaosVector.brownian_at(GRID, 1.0), 100_000, 5)
     assert abs(m.mean) < 3 * m.se_mean
@@ -199,3 +215,84 @@ def test_driver_variance_fbm_is_unit():
     m = mc_moments(x1, 100_000, 17)
     # variance target 1 with a 5% quadrature allowance at this resolution
     assert abs(m.variance - 1.0) < 3 * m.se_variance + 0.05
+
+
+def _rel_to_oracle(vec, block):
+    got = evaluate_block(vec, block)
+    want = evaluate_block_per_entry(vec, block)
+    assert got.shape == want.shape == (block.shape[0],)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_evaluate_block_matches_per_entry_oracle():
+    rng = rng_from(53)
+    block = sample_noise_block(GRID, 200, 59)
+    # three cells for up to 40 entries per order: most tuples repeat a cell
+    for _ in range(4):
+        vec = random_chaos_vector(GRID, 4, rng, n_entries=40, cells=[1, 4, 6])
+        assert max(vec.components) == 4
+        assert _rel_to_oracle(vec, block) <= 1e-13
+    vec = random_chaos_vector(GRID, 4, rng, n_entries=60)
+    assert _rel_to_oracle(vec, block) <= 1e-13
+
+    layers = rng.standard_normal(GRID.cells)
+    layered = ChaosVector(GRID, {0: SymKernel.scalar(GRID, 0.5),
+                                 3: LayeredKernel(3, GRID, layers),
+                                 2: random_chaos_vector(GRID, 2, rng).component(2)})
+    assert _rel_to_oracle(layered, block) <= 1e-13
+
+    # order 22 crosses the int64 range of 22!: multiplicities are Python ints
+    g2 = make_grid(1.0, 2)
+    high = ChaosVector(g2, {22: LayeredKernel(22, g2, np.array([0.3, -0.2]))})
+    assert _rel_to_oracle(high, sample_noise_block(g2, 50, 71)) <= 1e-13
+
+    constant = ChaosVector.deterministic(GRID, -1.75)
+    assert np.array_equal(evaluate_block(constant, block), np.full(200, -1.75))
+    assert np.array_equal(evaluate_block(ChaosVector.zero(GRID), block), np.zeros(200))
+    assert evaluate_block(vec, block[:0]).shape == (0,)
+
+    single = block[:1]
+    vec = random_chaos_vector(GRID, 4, rng, n_entries=40, cells=[0, 2, 3])
+    assert _rel_to_oracle(vec, single) <= 1e-13
+    assert evaluate(vec, sample_noise(GRID, 61)) == pytest.approx(
+        float(evaluate_block_per_entry(vec, sample_noise(GRID, 61).xi[None, :])[0]),
+        rel=1e-13, abs=1e-13)
+
+
+def test_evaluate_block_point_mass_integral():
+    """The Skorohod step on the layered point-mass process yields time-slot
+    components; they evaluate through their sparse form."""
+    g = make_grid(1.0, 4)
+    value = integrate_plain(donsker_process(g, 2, 0.25), OuKernel(alpha=1.0), 1.0).value
+    assert any(isinstance(k, TimeSlotSymKernel) for k in value.components.values())
+    dense = ChaosVector(g, {n: k if isinstance(k, SymKernel) else k.to_sparse()
+                            for n, k in value.components.items()})
+    block = sample_noise_block(g, 300, 67)
+    got = evaluate_block(value, block)
+    assert np.array_equal(got, evaluate_block(dense, block))
+    assert _rel_to_oracle(value, block) <= 1e-13
+
+
+def test_multiplicities_match_scalar():
+    for n in range(7):
+        tuples = list(itertools.combinations_with_replacement(range(5), n))
+        arr = np.array(tuples, dtype=np.int64).reshape(len(tuples), n)
+        got = multiplicities(arr)
+        assert got.dtype == np.int64
+        assert got.tolist() == [multiplicity(t) for t in tuples]
+    # 22! overflows int64; the multiplicities themselves still fit
+    g2 = make_grid(1.0, 2)
+    tuples, _ = LayeredKernel(22, g2, np.array([1.0, -2.0])).to_sparse().arrays()
+    assert tuples.shape == (23, 22)
+    got = multiplicities(tuples)
+    assert [int(m) for m in got] == [multiplicity(tuple(t)) for t in tuples.tolist()]
+    assert int(got.max()) == math.comb(22, 11)
+
+
+def test_arrays_canonical_order():
+    k = SymKernel(2, GRID, {(3, 4): 1.0, (0, 5): 2.0, (1, 1): 3.0, (0, 2): 4.0})
+    tuples, coef = k.arrays()
+    assert tuples.tolist() == [[0, 2], [0, 5], [1, 1], [3, 4]]
+    assert coef.tolist() == [4.0, 2.0, 3.0, 1.0]
+    tuples, coef = SymKernel.scalar(GRID, 2.5).arrays()
+    assert tuples.shape == (1, 0) and coef.tolist() == [2.5]
