@@ -15,7 +15,7 @@ from .chaos import (
     pairing,
     truncate,
 )
-from .errors import IndependenceError, IntegrabilityError, TruncationOverflowError
+from .errors import IndependenceError, IntegrabilityError, RepresentationLimitError, TruncationOverflowError
 from .grid import GridSpec, make_grid
 from .kernels import LayeredKernel, SymKernel, TimeSlotSymKernel, inner_product, sym_store
 from .montecarlo import NoiseVector, evaluate, ito_oracle, mc_moments, sample_noise
@@ -86,6 +86,7 @@ __all__ = [
     "IntegrabilityError",
     "IndependenceError",
     "TruncationOverflowError",
+    "RepresentationLimitError",
     "make_grid",
     "sym_store",
     "inner_product",

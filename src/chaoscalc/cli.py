@@ -12,7 +12,8 @@ Subcommands bundle the verification suites:
 Outputs are deterministic given equal configs (including the seed): floats
 are written with shortest round-trip repr, '.' decimal, no locale, sorted
 keys.  Exit codes: 0 ok, 2 config/parse error, 3 integrability or
-independence gate failure, 4 numeric or truncation overflow.
+independence gate failure, 4 numeric or truncation overflow, or a kernel
+too large for its representation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .chaos import ChaosProcess, ChaosVector
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .donsker import donsker_vmbv_experiment
-from .errors import IndependenceError, IntegrabilityError, TruncationOverflowError
+from .errors import IndependenceError, IntegrabilityError, RepresentationLimitError, TruncationOverflowError
 from .grid import make_grid
 from .identities import identity_residuals
 from .kernels import SymKernel
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
         return EXIT_GATE
     except (TruncationOverflowError, OverflowError, FloatingPointError) as e:
         print(f"numeric overflow: {e}", file=sys.stderr)
+        return EXIT_OVERFLOW
+    except RepresentationLimitError as e:
+        print(f"representation limit: {e}", file=sys.stderr)
         return EXIT_OVERFLOW
 
 

@@ -2,8 +2,8 @@
 
 Plain ``ValueError`` is used for invalid arguments (bad grids, index range
 violations, order mismatches).  The classes below mark the runtime gates of
-the integral pipelines, so callers can tell a modelling failure apart from a
-programming error.
+the integral pipelines and the limits of the kernel representations, so
+callers can tell a modelling failure apart from a programming error.
 """
 
 
@@ -44,3 +44,8 @@ class TruncationOverflowError(RuntimeError):
         super().__init__(
             f"output chaos order {needed} exceeds configured cap {cap}"
         )
+
+
+class RepresentationLimitError(RuntimeError):
+    """A structured kernel is too large to convert to sparse tuples; the
+    command line exits 4 on it, as on an overflow."""

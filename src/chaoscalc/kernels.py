@@ -33,10 +33,11 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import RepresentationLimitError
 from .grid import GridSpec, same_grid
 
-# Converting a layered kernel to sparse tuples is only allowed below this
-# many multisets; beyond it the caller is mixing representations wrongly.
+# Converting a structured kernel to sparse tuples is only allowed below this
+# many multisets; beyond it ``to_sparse`` raises RepresentationLimitError.
 _DENSIFY_LIMIT = 500_000
 
 
@@ -164,6 +165,10 @@ class SymKernel:
         for tup in self.entries:
             cells.update(tup)
         return cells
+
+    def to_sparse(self) -> "SymKernel":
+        """Already sparse: the kernel itself."""
+        return self
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical COO form: the ``(nnz, order)`` int tuple matrix, rows in
@@ -453,7 +458,7 @@ class LayeredKernel:
         top = int(nz[-1])
         n_multisets = math.comb(top + self.order + 1, self.order)
         if n_multisets > _DENSIFY_LIMIT:
-            raise ValueError(
+            raise RepresentationLimitError(
                 f"layered kernel too large to densify ({n_multisets} multisets)"
             )
         ent: dict[tuple[int, ...], float] = {}
@@ -633,7 +638,7 @@ class TimeSlotSymKernel:
         M = self.grid.cells
         n_multisets = math.comb(M + self.order - 1, self.order)
         if n_multisets > _DENSIFY_LIMIT:
-            raise ValueError("TimeSlotSymKernel too large to densify")
+            raise RepresentationLimitError(f"time-slot kernel too large to densify ({n_multisets} multisets)")
         ent: dict[tuple[int, ...], float] = {}
         for tup in combinations_with_replacement(range(M), self.order):
             val = 0.0

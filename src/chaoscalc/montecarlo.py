@@ -29,7 +29,7 @@ import numpy as np
 
 from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec, same_grid
-from .kernels import SymKernel, multiplicities, run_lengths
+from .kernels import multiplicities, run_lengths
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,7 @@ def evaluate_block(phi: ChaosVector, xi_block: np.ndarray) -> np.ndarray:
     terms = []
     max_deg = 0
     for n, k in sorted(phi.components.items()):
-        if not isinstance(k, SymKernel):
-            k = k.to_sparse()
-        tuples, coef = k.arrays()
+        tuples, coef = k.to_sparse().arrays()
         runs = run_lengths(tuples)
         max_deg = max(max_deg, int(runs.max(initial=0)))
         weight = coef * multiplicities(tuples).astype(float) * grid.step ** (n / 2.0)

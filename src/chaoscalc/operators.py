@@ -104,61 +104,38 @@ def skorohod(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
     """Skorohod integral of a process over ``[a, b)``.
 
     Each order-n component family becomes the order-(n+1) symmetrization of
-    the tensor with the time variable as an extra slot.  Sparse components
-    accumulate canonically; layered components produce the structured
-    symmetrized form.
+    the tensor with the time variable as an extra slot.  Layered components
+    of order >= 2 produce the structured symmetrized form; every other
+    component accumulates canonically in one sparse time-slot accumulator.
     """
     grid = psi.grid
     lo, hi = _snap_interval(grid, a, b)
 
-    sparse_acc: dict[int, dict[tuple[int, ...], float]] = {}
+    # The order-1 output comes first (an empty one is dropped): weighted norms
+    # sum the components in storage order, so the order fixes their bits.
+    sparse_acc: dict[int, dict[tuple[int, ...], float]] = {0: {}}
     layered_rows: dict[int, np.ndarray] = {}
-    order1_layers: np.ndarray | None = None
 
     for j in range(lo, hi):
         vec = psi.at(j)
         for n, k in vec.components.items():
-            if isinstance(k, SymKernel):
-                if n == 0:
-                    c = k.entries.get((), 0.0)
-                    if c != 0.0:
-                        if order1_layers is None:
-                            order1_layers = np.zeros(grid.cells)
-                        order1_layers[j] += c
-                    continue
-                acc = sparse_acc.setdefault(n, {})
-                denom = n + 1
-                for tup, c in k.entries.items():
-                    w = tuple(sorted(tup + (j,)))
-                    weight = (tup.count(j) + 1) / denom
-                    acc[w] = acc.get(w, 0.0) + c * weight
-            elif isinstance(k, LayeredKernel):
-                if n == 1:
-                    # order-1 layered kernels are plain cell functions
-                    acc = sparse_acc.setdefault(n, {})
-                    for tup, c in k.to_sparse().entries.items():
-                        w = tuple(sorted(tup + (j,)))
-                        weight = (tup.count(j) + 1) / 2
-                        acc[w] = acc.get(w, 0.0) + c * weight
-                    continue
+            if isinstance(k, LayeredKernel) and n >= 2:
                 mat = layered_rows.setdefault(n, np.zeros((grid.cells, grid.cells)))
                 mat[j] += k.layers
-            else:
-                raise TypeError(f"cannot Skorohod-integrate {type(k).__name__}")
+                continue
+            acc = sparse_acc.setdefault(n, {})
+            for tup, c in k.to_sparse().entries.items():
+                w = tuple(sorted(tup + (j,)))
+                weight = (tup.count(j) + 1) / (n + 1)
+                acc[w] = acc.get(w, 0.0) + c * weight
 
-    comps: dict[int, object] = {}
-    if order1_layers is not None:
-        comps[1] = SymKernel.from_cell_values(grid, order1_layers)
-    for n, acc in sparse_acc.items():
-        if n + 1 in comps:
-            comps[n + 1] = comps[n + 1].add(SymKernel(n + 1, grid, acc))
-        else:
-            comps[n + 1] = SymKernel(n + 1, grid, acc)
+    comps: dict[int, object] = {
+        n + 1: SymKernel(n + 1, grid, acc) for n, acc in sparse_acc.items()
+    }
     for n, mat in layered_rows.items():
-        slot = TimeSlotSymKernel(n + 1, grid, mat)
         if n + 1 in comps:
             raise TypeError("mixed sparse and layered components at one order")
-        comps[n + 1] = slot
+        comps[n + 1] = TimeSlotSymKernel(n + 1, grid, mat)
     return ChaosVector(grid, comps)
 
 
@@ -198,7 +175,7 @@ def wick(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) -> Ch
             out_order = n + m
             if max_order is not None and out_order > max_order:
                 continue
-            prod = ka.tensor_sym(kb) if isinstance(ka, SymKernel) else ka.to_sparse().tensor_sym(kb)
+            prod = ka.to_sparse().tensor_sym(kb)
             if prod.is_zero():
                 continue
             if out_order in comps:
@@ -222,11 +199,9 @@ def pointwise(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) 
         return scaled
     comps: dict[int, SymKernel] = {}
     for n, ka in phi.components.items():
-        if not isinstance(ka, SymKernel):
-            ka = ka.to_sparse()
+        ka = ka.to_sparse()
         for m, kb in psi.components.items():
-            if not isinstance(kb, SymKernel):
-                kb = kb.to_sparse()
+            kb = kb.to_sparse()
             for k in range(min(n, m) + 1):
                 out_order = n + m - 2 * k
                 if max_order is not None and out_order > max_order:

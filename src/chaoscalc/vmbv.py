@@ -116,11 +116,13 @@ def _integrate_gated(phi, kernel, t, product, vol, lam, max_order):
     return value, skor, drift, report
 
 
-def _wick_volatility_norm(vol: ChaosProcess, t_cell: int, lam: float) -> float:
-    d10 = vol.grid.step * sum(vol.at(s).gnorm_sq(-lam) for s in range(t_cell))
-    if not math.isfinite(d10):
-        raise IntegrabilityError("D(10)", "volatility norm integral non-finite")
-    return d10
+def _volatility_gate(vol: ChaosProcess, t_cell: int, index: float, assumption: str) -> float:
+    """Step-weighted time integral of the volatility's squared weighted norm
+    at ``index`` over the cells below ``t``; raises when it is non-finite."""
+    norm = vol.grid.step * sum(vol.at(s).gnorm_sq(index) for s in range(t_cell))
+    if not math.isfinite(norm):
+        raise IntegrabilityError(assumption, "volatility norm integral non-finite")
+    return norm
 
 
 def integrate_plain(phi: ChaosProcess, kernel: VolterraKernel, t: float,
@@ -140,12 +142,9 @@ def integrate_sigma(phi: ChaosProcess, sigma, kernel: VolterraKernel, t: float,
     """
     grid = phi.grid
     vol = _sigma_process(grid, sigma)
+    c2 = _volatility_gate(vol, grid.snap_down(t), lam, "C(2)")
     value, skor, drift, report = _integrate_gated(phi, kernel, t, pointwise, vol, lam, max_order)
-    t_cell = grid.snap_down(t)
-    sig_sq = grid.step * sum(vol.at(s).gnorm_sq(lam) for s in range(t_cell))
-    extra = {"C(2)": sig_sq, "sigma_max_order": vol.max_order()}
-    if not math.isfinite(sig_sq):
-        raise IntegrabilityError("C(2)", "volatility norm integral non-finite")
+    extra = {"C(2)": c2, "sigma_max_order": vol.max_order()}
     return VmbvResult(value, skor, drift, report, extra)
 
 
@@ -154,7 +153,7 @@ def integrate_wick(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: float,
     """Integral with a generalized volatility entering through Wick products."""
     grid = phi.grid
     vol = _sigma_process(grid, Sigma)
-    d10 = _wick_volatility_norm(vol, grid.snap_down(t), lam)
+    d10 = _volatility_gate(vol, grid.snap_down(t), -lam, "D(10)")
     value, skor, drift, report = _integrate_gated(phi, kernel, t, wick, vol, lam, max_order)
     extra = {"D(10)": d10, "sigma_max_order": vol.max_order()}
     return VmbvResult(value, skor, drift, report, extra)
@@ -166,8 +165,9 @@ def integrate_strongind(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: flo
 
     The gate checks the kernel action against the volatility at every cell
     (the action mixes future integrand values into each cell, so integrand
-    support alone is not enough).  The result is verified against the Wick
-    pipeline on the same kernel action, which it must match exactly.
+    support alone is not enough), then the diagnostics and D(10) as in
+    ``integrate_wick``.  Under the gate the result equals the Wick integral
+    exactly; the tests assert that, nothing re-checks it at run time.
     """
     grid = phi.grid
     vol = _sigma_process(grid, Sigma)
@@ -178,16 +178,9 @@ def integrate_strongind(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: flo
         if not rep.disjoint:
             raise IndependenceError(s, f"supports overlap at cell {rep.first_overlap}")
     report = _diagnose(action, phi, lam)
+    d10 = _volatility_gate(vol, action.t_cell, -lam, "D(10)")
     value, skor, drift = _integrate(phi, kg, action.t_cell, pointwise, vol, max_order)
-    _wick_volatility_norm(vol, action.t_cell, lam)
-    wick_value = _integrate(phi, kg, action.t_cell, wick, vol, max_order)[0]
-    mismatch = value.sub(wick_value).gnorm(0.0)
-    scale = max(value.gnorm(0.0), wick_value.gnorm(0.0), 1.0)
-    if mismatch > 1e-9 * scale:
-        raise AssertionError(
-            f"strong-independence integral deviates from Wick pipeline by {mismatch}"
-        )
-    extra = {"wick_consistency_residual": mismatch}
+    extra = {"D(10)": d10, "sigma_max_order": vol.max_order()}
     return VmbvResult(value, skor, drift, report, extra)
 
 
@@ -201,9 +194,7 @@ def _kernel_action_on_component(phi: ChaosProcess, kernel: VolterraKernel,
     """Kernel action applied to the order-``order`` kernel family of the
     process, as pure kernel arithmetic (no chaos-vector machinery)."""
     grid = phi.grid
-    base = phi.at(s_cell).component(order)
-    if not isinstance(base, SymKernel):
-        base = base.to_sparse()
+    base = phi.at(s_cell).component(order).to_sparse()
     g_ts, _ = kernel.evaluate_clipped(grid.t_left(t_cell), grid.t_mid(s_cell), grid.step)
     out = base.scale(g_ts)
     mw = _stieltjes_weights(kernel, grid, s_cell, t_cell)
@@ -211,10 +202,7 @@ def _kernel_action_on_component(phi: ChaosProcess, kernel: VolterraKernel,
     for u, w in mw.items():
         if w == 0.0:
             continue
-        comp = phi.at(u).component(order)
-        if not isinstance(comp, SymKernel):
-            comp = comp.to_sparse()
-        out = out.add(comp.scale(w))
+        out = out.add(phi.at(u).component(order).to_sparse().scale(w))
         wsum += w
     if wsum != 0.0:
         out = out.add(base.scale(-wsum))
@@ -284,9 +272,7 @@ def chaos_formula_oracle(phi: ChaosProcess, kernel: VolterraKernel, t: float,
             else:
                 sig = Sigma.at(s)
                 for m in range(0, max_sig + 1):
-                    sig_k = sig.component(m)
-                    if not isinstance(sig_k, SymKernel):
-                        sig_k = sig_k.to_sparse()
+                    sig_k = sig.component(m).to_sparse()
                     if sig_k.is_zero():
                         continue
                     if n >= 1 and 0 <= n - 1 - m <= max_phi:

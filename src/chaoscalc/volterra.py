@@ -331,7 +331,7 @@ class _OrderStack:
             self.rows = np.array([zero if c is None else c.layers for c in comps])
             self.norm_weights = layer_weights(grid, order)
             return
-        sparse = [c if c is None or isinstance(c, SymKernel) else c.to_sparse() for c in comps]
+        sparse = [None if c is None else c.to_sparse() for c in comps]
         index: dict[tuple[int, ...], int] = {}
         for c in sparse:
             if c is not None:

@@ -1,6 +1,7 @@
 """Config schema validation and the command-line front end, including the
 determinism contract and exit codes."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -203,6 +204,57 @@ def test_cli_overflow_exit_code(tmp_path):
         truncation=2,
     )))
     assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "wick"])
+def test_cli_representation_limit_exit_code(tmp_path, capsys, mode):
+    """A product that needs an order-12 layered kernel on 32 cells as sparse
+    tuples hits the densify limit: exit 4, not a config error."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg_with(
+        grid={"horizon": 1.0, "cells": 32},
+        integrand={"builder": "donsker", "order": 12, "eps": 0.25},
+        volatility={"mode": mode, "spec": {"builder": "brownian"}},
+    )))
+    assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+    assert "too large to densify" in capsys.readouterr().err
+
+
+SWEEP_BUILDERS = {
+    "constant": {"builder": "constant", "value": 1.5},
+    "brownian": {"builder": "brownian"},
+    "wiener": {"builder": "wiener", "weights": [1.0, -0.5, 0.25, 2.0]},
+    "donsker": {"builder": "donsker", "order": 3, "eps": 0.25},
+    "random": {"builder": "random", "max_order": 2},
+}
+SWEEP_VOLATILITIES = ["constant", "brownian", "wiener", "random"]
+SWEEP_KERNELS = [{"kind": "ou", "alpha": 1.0}, {"kind": "turbulence", "alpha": 1.0, "nu": 0.8}]
+
+
+@pytest.mark.parametrize("integrand", sorted(SWEEP_BUILDERS))
+def test_cli_vmbv_sweep_exit_codes_and_rerun_bytes(tmp_path, integrand):
+    """Every builder x volatility x mode x kernel config on 4 cells computes
+    or fails with a documented exit code, and a rerun writes equal bytes."""
+    cases = itertools.product(SWEEP_VOLATILITIES, ["none", "pointwise", "wick", "strongind"],
+                              SWEEP_KERNELS)
+    for vol, mode, kernel in cases:
+        name = f"{integrand}-{vol}-{mode}-{kernel['kind']}"
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg_with(
+            grid={"horizon": 1.0, "cells": 4},
+            kernel=kernel,
+            integrand=SWEEP_BUILDERS[integrand],
+            volatility={"mode": mode, "spec": SWEEP_BUILDERS[vol]},
+        )))
+        runs = []
+        for rerun in range(2):
+            out = tmp_path / f"{name}-{rerun}"
+            code = main(["vmbv", "--config", str(cfg_path), "--out", str(out)])
+            assert code in (0, 2, 3, 4), name
+            result = out / "result.json"
+            runs.append((code, result.read_bytes() if result.exists() else None))
+        assert runs[0] == runs[1], name
+        assert (runs[0][0] == 0) == (runs[0][1] is not None), name
 
 
 def test_console_entry_point(tmp_path):

@@ -278,3 +278,16 @@ def test_layered_slice_matches_sparse_slice():
         a = lk.slice_at(cell)
         b = lk.to_sparse().slice_at(cell)
         assert a.to_sparse().add(b.scale(-1.0)).norm_sq() == pytest.approx(0.0, abs=1e-26)
+
+
+def test_densify_limit_raises_representation_limit_error():
+    from chaoscalc import RepresentationLimitError
+    from chaoscalc.kernels import TimeSlotSymKernel
+
+    g = make_grid(1.0, 32)
+    k = SymKernel.scalar(g, 2.0)
+    assert k.to_sparse() is k
+    with pytest.raises(RepresentationLimitError, match="too large to densify"):
+        LayeredKernel.prefix_constant(12, g, 1.0, 32).to_sparse()
+    with pytest.raises(RepresentationLimitError):
+        TimeSlotSymKernel(6, g, np.ones((32, 32))).to_sparse()

@@ -25,7 +25,8 @@ from chaoscalc import (
     sym_store,
     wick,
 )
-from chaoscalc.testing import random_chaos_process, random_chaos_vector, rng_from
+from chaoscalc.kernels import LayeredKernel
+from chaoscalc.testing import random_chaos_process, random_chaos_vector, random_sym_kernel, rng_from
 
 from dense_ref import (
     compare_dense,
@@ -162,6 +163,32 @@ def test_skorohod_matches_dense_symmetrization():
         )
         want = dense_skorohod(GRID, dense_vals, a, b)
         assert compare_dense(GRID, got, want) < 1e-12
+
+
+def test_skorohod_mixed_storage_forms_match_dense():
+    """Order-0 scalars, order-1 layered kernels and sparse order-1/2 kernels
+    at different cells share one sparse time-slot accumulator."""
+    rng = rng_from(47)
+
+    def cell(j):
+        comps = {2: random_sym_kernel(GRID, 2, rng)} if j % 4 != 1 else {}
+        if j % 2 == 0:
+            comps[0] = SymKernel.scalar(GRID, float(rng.standard_normal()))
+        if j % 3 == 0:
+            comps[1] = LayeredKernel(1, GRID, rng.standard_normal(GRID.cells))
+        else:
+            comps[1] = random_sym_kernel(GRID, 1, rng)
+        return ChaosVector(GRID, comps)
+
+    proc = ChaosProcess.from_values(GRID, [cell(j) for j in range(GRID.cells)])
+    dense_vals = [dense_vector(proc.at(j), n_max=2) for j in range(GRID.cells)]
+    for (a, b) in [(0, GRID.cells), (1, 3), (2, 3)]:
+        out = skorohod(proc, GRID.t_left(a), GRID.t_left(b))
+        assert all(isinstance(k, SymKernel) for k in out.components.values())
+        # the order-1 output is stored first, which fixes the bits of its norms
+        assert next(iter(out.components)) == 1
+        want = dense_skorohod(GRID, dense_vals, a, b)
+        assert compare_dense(GRID, dense_vector(out, n_max=3), want) < 1e-12
 
 
 def test_skorohod_additivity_and_empty_interval():

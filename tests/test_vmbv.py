@@ -3,10 +3,12 @@ structural properties (decomposition, linearity, localization, pull-out,
 stability)."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import chaoscalc.vmbv as vmbv_mod
 from chaoscalc import (
     ChaosProcess,
     ChaosVector,
@@ -210,7 +212,34 @@ def test_strongind_gate_and_equality():
         res = integrate_strongind(proc, sig, k, 1.0)
         wick_res = integrate_wick(proc, sig, k, 1.0)
         assert rel_error(res.value, wick_res.value) < 1e-12
-        assert res.extra_diagnostics["wick_consistency_residual"] < 1e-12
+        assert set(res.extra_diagnostics) == {"D(10)", "sigma_max_order"}
+        assert res.extra_diagnostics["D(10)"] == wick_res.extra_diagnostics["D(10)"]
+        assert res.extra_diagnostics["sigma_max_order"] == 2
+
+
+def test_strongind_runs_the_pointwise_pipeline_once(monkeypatch):
+    """The gated integral takes one Skorohod step with pointwise products and
+    never runs the Wick pipeline; its equality with the Wick integral is
+    asserted by the tests, not re-checked at run time."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(vmbv_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(vmbv_mod, name, wrapper)
+
+    for name in ("skorohod", "wick", "pointwise"):
+        counted(name)
+    rng = rng_from(229)
+    proc = random_chaos_process(GRID, 2, rng, cells=[0, 1, 2, 3])
+    sig = random_chaos_process(GRID, 2, rng, cells=[4, 5, 6, 7])
+    integrate_strongind(proc, sig, OuKernel(alpha=1.0), 1.0)
+    assert calls["skorohod"] == 1
+    assert calls["wick"] == 0
+    assert calls["pointwise"] > 0
 
 
 def test_strongind_rejects_overlap():
