@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gammaln
 
 from .grid import GridSpec, same_grid
@@ -21,32 +22,54 @@ from .kernels import SymKernel, kernel_from_json
 _LOG_GUARD_ORDER = 30
 
 
-def _order_weight_times(n: int, lam: float, value: float) -> float:
-    """``n! * exp(2*lam*n) * value`` with a log-space guard for large n."""
-    if value == 0.0:
-        return 0.0
-    if n <= _LOG_GUARD_ORDER:
-        return math.factorial(n) * math.exp(2.0 * lam * n) * value
-    log_term = gammaln(n + 1) + 2.0 * lam * n + math.log(abs(value))
-    return math.copysign(math.exp(log_term), value)
+def order_weighted_sum(orders, values, lam: float):
+    """``sum_n n! e^{2 lam n} values[n]``: the weight index enters every
+    weighted norm only through this last contraction over chaos orders.
 
-
-def order_weighted_sum(orders, values, lam: float) -> float:
-    """``sum_n n! e^{2 lam n} value_n``: the weight index enters every weighted
-    norm only through this last contraction over chaos orders."""
-    total = 0.0
-    for n, v in zip(orders, values):
-        total += _order_weight_times(n, lam, v)
-    return total
+    ``values`` holds one entry per order (the result is a float) or one row
+    per order of an ``[order, cell]`` table (the result is one value per
+    cell).  The orders are summed in ascending order, whatever order they
+    come in, so equal per-order values give equal bits.  A zero value
+    contributes exactly 0, and orders above ``_LOG_GUARD_ORDER`` are weighted
+    in log space, so a weight never overflows into ``inf * 0``.
+    """
+    orders = np.asarray(orders, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    table = values.ndim == 2
+    rank = np.argsort(orders, kind="stable")
+    orders = orders[rank]
+    rows = (values if table else values[:, None])[rank]
+    live = rows.any(axis=1)
+    weights = [math.factorial(n) * math.exp(2.0 * lam * n) if alive and n <= _LOG_GUARD_ORDER else 0.0
+               for n, alive in zip(orders.tolist(), live.tolist())]
+    with np.errstate(invalid="ignore"):  # inf * 0, zeroed below
+        terms = np.array(weights)[:, None] * rows
+    big = live & (orders > _LOG_GUARD_ORDER)
+    if big.any():
+        n, v = orders[big], rows[big]
+        with np.errstate(divide="ignore", over="raise"):
+            log_terms = (gammaln(n + 1) + 2.0 * lam * n)[:, None] + np.log(np.abs(v))
+            terms[big] = np.copysign(np.exp(log_terms), v)
+    terms[rows == 0.0] = 0.0
+    # the running sum adds the orders one after another in every column
+    total = np.cumsum(terms, axis=0)[-1] if len(orders) else np.zeros(rows.shape[1])
+    return total if table else float(total[0])
 
 
 class ChaosVector:
-    """Finite chaos expansion: map chaos order -> kernel component."""
+    """Finite chaos expansion: map chaos order -> kernel component.
 
-    __slots__ = ("grid", "components")
+    A vector is immutable: nothing writes ``components`` after ``__init__``,
+    and every operation returns a new vector.  That is what lets the
+    per-order squared norms be computed once, on first use, and serve every
+    weight index.
+    """
+
+    __slots__ = ("grid", "components", "_norms")
 
     def __init__(self, grid: GridSpec, components: dict[int, object] | None = None):
         self.grid = grid
+        self._norms = None
         self.components = {}
         if components:
             for n, k in components.items():
@@ -129,25 +152,36 @@ class ChaosVector:
 
     # -- metric --------------------------------------------------------------
 
+    def _order_norm_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orders and squared component norms, computed on first use; the
+        arrays are read-only."""
+        if self._norms is None:
+            orders = np.array(sorted(self.components), dtype=np.int64)
+            norms = np.array([self.components[n].norm_sq() for n in orders.tolist()])
+            orders.flags.writeable = False
+            norms.flags.writeable = False
+            self._norms = (orders, norms)
+        return self._norms
+
     def order_norms_sq(self) -> dict[int, float]:
-        """Squared L2 norm of each component; free of any weight index."""
-        return {n: k.norm_sq() for n, k in self.components.items()}
+        """Squared L2 norm of each component, in ascending order; free of any
+        weight index.  A new dict on every call."""
+        orders, norms = self._order_norm_arrays()
+        return dict(zip(orders.tolist(), norms.tolist()))
 
     def gnorm_sq(self, lam: float) -> float:
-        norms = self.order_norms_sq()
-        return order_weighted_sum(norms, norms.values(), lam)
+        """Squared weighted norm ``sum_n n! e^{2 lam n} |phi_n|^2``; the
+        component norms are computed once per vector."""
+        return order_weighted_sum(*self._order_norm_arrays(), lam)
 
     def gnorm(self, lam: float) -> float:
         return math.sqrt(self.gnorm_sq(lam))
 
     def pairing(self, other: "ChaosVector") -> float:
         same_grid(self.grid, other.grid)
-        total = 0.0
-        for n, k in self.components.items():
-            ko = other.components.get(n)
-            if ko is not None:
-                total += _order_weight_times(n, 0.0, k.inner(ko))
-        return total
+        shared = [n for n in self.components if n in other.components]
+        inners = [self.components[n].inner(other.components[n]) for n in shared]
+        return order_weighted_sum(shared, inners, 0.0)
 
     # -- io ---------------------------------------------------------------------
 

@@ -141,7 +141,10 @@ def build_process(cfg: dict, grid: GridSpec, seed: int, t: float) -> ChaosProces
             if obj is None:
                 values.append(ChaosVector.zero(grid))
             else:
-                vec = ChaosVector.from_json(obj)
+                try:
+                    vec = ChaosVector.from_json(obj)
+                except (KeyError, TypeError, ValueError) as e:
+                    raise ConfigError(f"custom: malformed cell vector: {e!r}") from e
                 if vec.grid != grid:
                     raise ConfigError("custom: cell vector grid differs from config grid")
                 values.append(vec)

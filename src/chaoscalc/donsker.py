@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
+from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec
 from .kernels import LayeredKernel, SymKernel
 from .vmbv import _check_gate, _integrate
@@ -165,7 +165,7 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
     for report in reports:
         _check_gate(report)
     kg = action.apply(proc)
-    value_norms = _integrate(proc, kg, t_cell, None, None, None)[0].order_norms_sq()
+    value = _integrate(proc, kg, t_cell, None, None, None)[0]
 
     rows = []
     a3_by_lambda = {}
@@ -182,7 +182,7 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
         dominated = all(
             a <= b * (1 + 1e-12) + 1e-300 for a, b in zip(report.a3, bounds)
         )
-        norm_sq = order_weighted_sum(value_norms, value_norms.values(), -lam)
+        norm_sq = value.gnorm_sq(-lam)
         rows.append(
             DonskerLambdaRow(
                 lam=lam,

@@ -78,19 +78,24 @@ def run_lengths(tuples: np.ndarray) -> np.ndarray:
 _FACTORIALS = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
 
 
-def multiplicities(tuples: np.ndarray) -> np.ndarray:
-    """``multiplicity`` of every sorted row of an ``(nnz, n)`` tuple matrix.
+def multiplicities_from_runs(runs: np.ndarray) -> np.ndarray:
+    """``n! / prod(run!)`` per row of an ``(nnz, n)`` ``run_lengths`` matrix.
 
     Exact: int64 through order 20, Python integers (object dtype) above,
     where ``n!`` no longer fits in int64.
     """
-    n = tuples.shape[1]
+    n = runs.shape[1]
     if n < len(_FACTORIALS):
         fact = _FACTORIALS
     else:
         fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=object)
     # the run factorials of a row multiply to at most n!, so int64 holds them
-    return fact[n] // fact[run_lengths(tuples)].prod(axis=1)
+    return fact[n] // fact[runs].prod(axis=1)
+
+
+def multiplicities(tuples: np.ndarray) -> np.ndarray:
+    """``multiplicity`` of every sorted row of an ``(nnz, n)`` tuple matrix."""
+    return multiplicities_from_runs(run_lengths(tuples))
 
 
 def sub_multisets(tup: tuple[int, ...], k: int) -> set[tuple[int, ...]]:
@@ -491,8 +496,8 @@ class TimeSlotSymKernel:
     already-symmetric layered addend of the same total order ``q+1``.
 
     Norms and inner products use that the symmetrization projector ``P`` is
-    orthogonal: ``<PG, PG> = <G, PG>`` reduces everything to sums over at most
-    three cell indices, independent of the chaos order.
+    orthogonal: ``<PG, PG> = <G, PG>`` reduces everything to closed forms on
+    the ``[cell, cell]`` grid, independent of the chaos order.
     """
 
     __slots__ = ("order", "grid", "phi", "extra")
@@ -552,43 +557,44 @@ class TimeSlotSymKernel:
         raise TypeError(f"cannot add {type(other).__name__} to TimeSlotSymKernel")
 
     def _gg_inner(self, other: "TimeSlotSymKernel") -> float:
-        """<G1, P G2> for the raw (pre-symmetrization) families."""
+        """<G1, P G2> for the raw (pre-symmetrization) families.
+
+        Besides the direct term, ``P`` swaps the time slot with one of the
+        ``q`` layer slots, which gives ``step**2`` times
+
+            sum_r wq1[r] sum_{s,a} phi1[s, max(r, a)] phi2[a, max(r, s)],
+
+        ``r`` the largest of the other ``q - 1`` slots.  Split by where ``r``
+        falls against ``s`` and ``a``, with the column prefix sums
+        ``C[r, a] = sum_{s <= r} phi[s, a]``, this is three closed forms on
+        the ``[cell, cell]`` grid: ``C1[r, r] C2[r, r]`` for ``r >= s, a``;
+        ``C1[r, a] phi2[a, r] + C2[r, a] phi1[a, r]`` for ``a > r`` and the
+        other index at most ``r``; and ``phi1[s, a] phi2[a, s]`` weighted by
+        ``sum_{r < min(s, a)} wq1[r] = t_min(s, a) ** (q - 1)`` for ``r``
+        below both.  At ``q = 1`` only the last term is left, with weight 1.
+        """
         q = self._q
         step = self.grid.step
-        M = self.grid.cells
+        p1, p2 = self.phi, other.phi
         wq = layer_weights(self.grid, q)
-        direct = step * float(np.einsum("sr,sr,r->", self.phi, other.phi, wq))
-        if q == 1:
-            swapped = step * step * float(np.sum(self.phi * other.phi.T))
-        else:
-            wq1 = layer_weights(self.grid, q - 1)
-            swapped = 0.0
-            idx = np.arange(M)
-            for r in range(M):
-                if wq1[r] == 0.0:
-                    continue
-                mx = np.maximum(idx, r)
-                a_mat = self.phi[:, mx]        # [s, a] = phi1_s(max(r, a))
-                b_mat = other.phi[:, mx]       # [a, s] = phi2_a(max(r, s))
-                swapped += wq1[r] * float(np.sum(a_mat * b_mat.T))
-            swapped *= step * step
-        return (direct + q * swapped) / (q + 1)
+        direct = step * float(np.einsum("sr,sr,r->", p1, p2, wq))
+        wq1 = layer_weights(self.grid, q - 1)
+        c1, c2 = np.cumsum(p1, axis=0), np.cumsum(p2, axis=0)
+        idx = np.arange(self.grid.cells)
+        below = (idx * step) ** (q - 1)
+        swapped = (np.einsum("rr,rr,r->", c1, c2, wq1)
+                   + np.einsum("r,ra->", wq1, np.triu(c1 * p2.T + c2 * p1.T, 1))
+                   + np.einsum("sa,as,sa->", p1, p2, below[np.minimum.outer(idx, idx)]))
+        return (direct + q * step * step * float(swapped)) / (q + 1)
 
     def _g_layered_inner(self, layers: np.ndarray) -> float:
-        """<G, L> for a symmetric layered kernel L of the same total order."""
-        q = self._q
-        step = self.grid.step
-        M = self.grid.cells
-        wq = layer_weights(self.grid, q)
-        idx = np.arange(M)
-        total = 0.0
-        for s in range(M):
-            row = self.phi[s]
-            if not np.any(row):
-                continue
-            lmax = layers[np.maximum(idx, s)]
-            total += float(np.dot(wq, row * lmax))
-        return step * total
+        """<G, L> for a symmetric layered kernel L of the same total order:
+        ``step * sum_{s,r} wq[r] phi[s, r] L[max(r, s)]``, one gather of the
+        layers over the index grid ``max(r, s)``."""
+        idx = np.arange(self.grid.cells)
+        lmax = layers[np.maximum.outer(idx, idx)]
+        wq = layer_weights(self.grid, self._q)
+        return self.grid.step * float(np.einsum("sr,sr,r->", self.phi, lmax, wq))
 
     def inner(self, other) -> float:
         if isinstance(other, TimeSlotSymKernel):

@@ -107,13 +107,13 @@ def skorohod(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
     the tensor with the time variable as an extra slot.  Layered components
     of order >= 2 produce the structured symmetrized form; every other
     component accumulates canonically in one sparse time-slot accumulator.
+    An order that holds both kinds densifies its structured part into that
+    accumulator.  The outputs are stored in ascending order.
     """
     grid = psi.grid
     lo, hi = _snap_interval(grid, a, b)
 
-    # The order-1 output comes first (an empty one is dropped): weighted norms
-    # sum the components in storage order, so the order fixes their bits.
-    sparse_acc: dict[int, dict[tuple[int, ...], float]] = {0: {}}
+    sparse_acc: dict[int, dict[tuple[int, ...], float]] = {}
     layered_rows: dict[int, np.ndarray] = {}
 
     for j in range(lo, hi):
@@ -129,24 +129,34 @@ def skorohod(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
                 weight = (tup.count(j) + 1) / (n + 1)
                 acc[w] = acc.get(w, 0.0) + c * weight
 
-    comps: dict[int, object] = {
-        n + 1: SymKernel(n + 1, grid, acc) for n, acc in sparse_acc.items()
-    }
+    comps: dict[int, object] = {}
     for n, mat in layered_rows.items():
-        if n + 1 in comps:
-            raise TypeError("mixed sparse and layered components at one order")
-        comps[n + 1] = TimeSlotSymKernel(n + 1, grid, mat)
-    return ChaosVector(grid, comps)
+        slot = TimeSlotSymKernel(n + 1, grid, mat)
+        acc = sparse_acc.get(n)
+        if acc is None:
+            comps[n + 1] = slot
+            continue
+        for tup, c in slot.to_sparse().entries.items():
+            acc[tup] = acc.get(tup, 0.0) + c
+    for n, acc in sparse_acc.items():
+        comps[n + 1] = SymKernel(n + 1, grid, acc)
+    return ChaosVector(grid, dict(sorted(comps.items())))
 
 
 def pettis_time_integral(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
-    """Weak time integral: order-wise step-weighted sum of the kernels."""
+    """Weak time integral: order-wise step-weighted sum of the kernels.
+
+    One pass over the cells adds each order's kernels with the kernel-level
+    ``add``; orders that sum to zero are dropped, and the step scales each
+    sum once.
+    """
     grid = psi.grid
     lo, hi = _snap_interval(grid, a, b)
-    total = ChaosVector.zero(grid)
+    sums: dict[int, object] = {}
     for j in range(lo, hi):
-        total = total.add(psi.at(j))
-    return total.scale(grid.step)
+        for n, k in psi.at(j).components.items():
+            sums[n] = sums[n].add(k) if n in sums else k
+    return ChaosVector(grid, {n: k.scale(grid.step) for n, k in sums.items()})
 
 
 def _deterministic_product(phi: ChaosVector, psi: ChaosVector, max_order: int | None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chaos import ChaosProcess, ChaosVector, linear_combine
+from .chaos import ChaosProcess, ChaosVector, linear_combine, order_weighted_sum
 from .errors import IndependenceError, IntegrabilityError, TruncationOverflowError
 from .grid import GridSpec, same_grid
 from .kernels import SymKernel
@@ -118,8 +118,14 @@ def _integrate_gated(phi, kernel, t, product, vol, lam, max_order):
 
 def _volatility_gate(vol: ChaosProcess, t_cell: int, index: float, assumption: str) -> float:
     """Step-weighted time integral of the volatility's squared weighted norm
-    at ``index`` over the cells below ``t``; raises when it is non-finite."""
-    norm = vol.grid.step * sum(vol.at(s).gnorm_sq(index) for s in range(t_cell))
+    at ``index`` over the cells below ``t``; raises when it is non-finite.
+
+    The per-order norms of every cell form one ``[order, cell]`` table, so
+    the index enters through one contraction."""
+    cells = [vol.at(s).order_norms_sq() for s in range(t_cell)]
+    orders = sorted(set().union(*cells))
+    table = np.array([[c.get(n, 0.0) for c in cells] for n in orders]).reshape(len(orders), t_cell)
+    norm = vol.grid.step * sum(order_weighted_sum(orders, table, index).tolist())
     if not math.isfinite(norm):
         raise IntegrabilityError(assumption, "volatility norm integral non-finite")
     return norm

@@ -517,25 +517,25 @@ class DiagnosticTables:
     aggregate: np.ndarray
     clipped_cells: int
 
-    def _contract(self, lam: float, values) -> float:
-        return order_weighted_sum(self.orders, map(float, values), -lam)
-
     def report(self, lam: float) -> AssumptionReport:
-        """The diagnostics at weight index ``-lam``."""
+        """The diagnostics at weight index ``-lam``: one contraction over the
+        orders of the whole ``a3`` table and the cell sums of the others."""
         step = self.grid.step
-        a3 = tuple(self._contract(lam, column) for column in self.a3.T)
-        a3_s_max = 0.0
-        for s, a in enumerate(a3):
-            a3_s_max = max(a3_s_max, a * self.grid.t_left(s))
+        sums = np.column_stack([self.a3, self.b4.sum(axis=1), self.b5.sum(axis=1),
+                                self.aggregate.sum(axis=1)])
+        contracted = order_weighted_sum(self.orders, sums, -lam)
+        a3 = contracted[:-3]
+        b4, b5, aggregate = (step * contracted[-3:]).tolist()
         return AssumptionReport(
             lam=lam,
             t=self.t,
-            a3=a3,
-            b4=step * self._contract(lam, self.b4.sum(axis=1)),
-            b5=step * self._contract(lam, self.b5.sum(axis=1)),
-            aggregate=step * self._contract(lam, self.aggregate.sum(axis=1)),
+            a3=tuple(a3.tolist()),
+            b4=b4,
+            b5=b5,
+            aggregate=aggregate,
             clipped_cells=self.clipped_cells,
-            a3_times_s_max=a3_s_max,
+            # fmax skips a NaN cell, as a running max over the cells would
+            a3_times_s_max=float(np.fmax.reduce(a3 * (np.arange(len(a3)) * step), initial=0.0)),
         )
 
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from chaoscalc import AssumptionReport, ChaosVector, GridSpec, SymKernel, kernel_measure
-from chaoscalc.kernels import multiplicity
+from chaoscalc.kernels import layer_weights, multiplicity
 
 
 def dense_from_kernel(k) -> np.ndarray:
@@ -249,3 +249,70 @@ def evaluate_block_per_entry(phi: ChaosVector, xi_block: np.ndarray) -> np.ndarr
                 term = term * he[tup.count(cell)][:, cell]
             out += term
     return out
+
+
+def gg_inner_per_cell(a, b) -> float:
+    """``<G1, P G2>`` of two time-slot kernels with a loop over the cells of
+    the largest remaining slot."""
+    q = a.order - 1
+    grid = a.grid
+    step = grid.step
+    M = grid.cells
+    wq = layer_weights(grid, q)
+    direct = step * float(np.einsum("sr,sr,r->", a.phi, b.phi, wq))
+    if q == 1:
+        swapped = step * step * float(np.sum(a.phi * b.phi.T))
+    else:
+        wq1 = layer_weights(grid, q - 1)
+        swapped = 0.0
+        idx = np.arange(M)
+        for r in range(M):
+            if wq1[r] == 0.0:
+                continue
+            mx = np.maximum(idx, r)
+            a_mat = a.phi[:, mx]        # [s, a] = phi1_s(max(r, a))
+            b_mat = b.phi[:, mx]        # [a, s] = phi2_a(max(r, s))
+            swapped += wq1[r] * float(np.sum(a_mat * b_mat.T))
+        swapped *= step * step
+    return (direct + q * swapped) / (q + 1)
+
+
+def g_layered_inner_per_cell(a, layers: np.ndarray) -> float:
+    """``<G, L>`` of a time-slot family and a layered kernel, time slot by
+    time slot."""
+    grid = a.grid
+    wq = layer_weights(grid, a.order - 1)
+    idx = np.arange(grid.cells)
+    total = 0.0
+    for s in range(grid.cells):
+        row = a.phi[s]
+        if not np.any(row):
+            continue
+        total += float(np.dot(wq, row * layers[np.maximum(idx, s)]))
+    return grid.step * total
+
+
+def pettis_per_cell(psi, a: float, b: float) -> ChaosVector:
+    """Weak time integral as a chain of chaos-vector sums, cell by cell."""
+    grid = psi.grid
+    lo, hi = grid.snap_down(a), grid.snap_down(b)
+    total = ChaosVector.zero(grid)
+    for j in range(lo, hi):
+        total = total.add(psi.at(j))
+    return total.scale(grid.step)
+
+
+def order_weighted_sum_scalar(orders, values, lam: float) -> float:
+    """``sum_n n! e^{2 lam n} value_n`` term by term in the given order, with
+    log-space weights above order 30 and exact zeros for zero values."""
+    total = 0.0
+    for n, v in zip(orders, values):
+        v = float(v)
+        if v == 0.0:
+            continue
+        if n <= 30:
+            total += math.factorial(n) * math.exp(2.0 * lam * n) * v
+        else:
+            log_term = math.lgamma(n + 1) + 2.0 * lam * n + math.log(abs(v))
+            total += math.copysign(math.exp(log_term), v)
+    return total

@@ -186,6 +186,19 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert main(["vmbv", "--config", str(bad2), "--out", str(tmp_path)]) == 2
 
 
+def test_cli_malformed_custom_cell_is_config_error(tmp_path, capsys):
+    """A custom cell whose vector names its grid with the config's keys
+    instead of the serialized ones exits 2; no exception escapes main."""
+    grid = {"horizon": 1.0, "cells": 4}
+    cell = {"grid": grid, "components": []}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg_with(
+        grid=grid, integrand={"builder": "custom", "cells": [cell] * 4},
+    )))
+    assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "custom: malformed cell vector" in capsys.readouterr().err
+
+
 def test_cli_gate_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg_with(

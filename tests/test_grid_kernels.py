@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,18 +12,23 @@ from hypothesis import strategies as st
 from chaoscalc import (
     ChaosVector,
     LayeredKernel,
+    OuKernel,
     SymKernel,
+    TimeSlotSymKernel,
+    donsker_process,
     gnorm,
     inner_product,
+    integrate_plain,
     linear_combine,
     make_grid,
     pairing,
     sym_store,
     truncate,
 )
+from chaoscalc.chaos import order_weighted_sum
 from chaoscalc.testing import random_chaos_vector, rng_from
 
-from dense_ref import dense_from_kernel, dense_norm_sq
+from dense_ref import dense_from_kernel, dense_norm_sq, order_weighted_sum_scalar
 
 
 def test_make_grid_basic():
@@ -127,6 +133,71 @@ def test_gnorm_zero_is_l2_norm():
     vec = random_chaos_vector(g, 3, rng_from(3), n_entries=4)
     l2_sq = sum(math.factorial(n) * k.norm_sq() for n, k in vec.components.items())
     assert gnorm(vec, 0.0) == pytest.approx(math.sqrt(l2_sq), rel=1e-14)
+
+
+def _mixed_form_value():
+    """A point-mass integral: sparse, layered and time-slot components."""
+    g = make_grid(1.0, 8)
+    value = integrate_plain(donsker_process(g, 3, 0.25), OuKernel(alpha=1.0), 1.0).value
+    assert {type(k) for k in value.components.values()} == {SymKernel, TimeSlotSymKernel}
+    return value
+
+
+def test_norms_computed_once_per_vector(monkeypatch):
+    value = _mixed_form_value()
+    calls = Counter()
+    for cls in (SymKernel, LayeredKernel, TimeSlotSymKernel):
+        original = cls.norm_sq
+
+        def counting(self, _original=original):
+            calls[id(self)] += 1
+            return _original(self)
+
+        monkeypatch.setattr(cls, "norm_sq", counting)
+    norms = [value.gnorm(lam) for lam in (-1.0, 0.0, 0.5)]
+    assert value.gnorm(-1.0) == norms[0]
+    assert sorted(calls) == sorted(id(k) for k in value.components.values())
+    assert set(calls.values()) == {1}
+    # callers get a copy: changing it leaves the stored norms alone
+    per_order = value.order_norms_sq()
+    per_order[max(per_order)] = 1e300
+    assert value.gnorm(0.5) == norms[2]
+
+
+def test_gnorm_independent_of_storage_order():
+    """Equal kernels inserted in another order give bit-equal norms."""
+    g = make_grid(1.0, 4)
+    rng = rng_from(17)
+    for _ in range(20):
+        vec = random_chaos_vector(g, 6, rng, n_entries=3)
+        ascending = ChaosVector(g, dict(sorted(vec.components.items())))
+        descending = ChaosVector(g, dict(sorted(vec.components.items(), reverse=True)))
+        for lam in (-1.3, -0.2, 0.0, 0.7, 2.0):
+            assert ascending.gnorm(lam) == descending.gnorm(lam)
+            assert ascending.pairing(vec) == descending.pairing(vec)
+
+
+def test_order_weighted_sum_table_matches_scalar_contraction():
+    """A table contracts column by column like the scalar sum, with zero
+    rows and entries, orders above the log-space guard and both signs of
+    the weight index; the order the rows come in does not matter."""
+    rng = rng_from(29)
+    orders = [40, 0, 3, 31, 2, 30]
+    table = rng.uniform(0.0, 2.0, (len(orders), 9))
+    table[2] = 0.0
+    table[:, 4] = 0.0
+    table[3, 1] = 0.0
+    for lam in (-2.0, -0.5, 0.0, 0.8):
+        got = order_weighted_sum(orders, table, lam)
+        for j in range(table.shape[1]):
+            want = order_weighted_sum_scalar(sorted(orders), table[np.argsort(orders), j], lam)
+            assert got[j] == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert got[j] == order_weighted_sum(orders, table[:, j], lam)
+        assert got[4] == 0.0
+    # a zero next to a weight that overflows to inf still contributes 0
+    got = order_weighted_sum([30, 2], np.array([[0.0, 1.0], [1.0, 1.0]]), 11.5)
+    assert got[0] == math.factorial(2) * math.exp(2 * 11.5 * 2)
+    assert math.isinf(got[1])
 
 
 def test_pairing_examples():

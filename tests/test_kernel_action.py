@@ -19,8 +19,8 @@ from chaoscalc import (
     make_grid,
 )
 from chaoscalc.testing import random_chaos_process, rng_from
-from chaoscalc.volterra import KernelAction, kernel_action
-from dense_ref import assumption_report_per_cell, kg_apply_per_cell
+from chaoscalc.volterra import DiagnosticTables, KernelAction, kernel_action
+from dense_ref import assumption_report_per_cell, kg_apply_per_cell, order_weighted_sum_scalar
 
 GRID = make_grid(1.0, 16)
 GRID12 = make_grid(1.0, 12)  # a step that is not a power of two: the singular kernel clips
@@ -88,3 +88,28 @@ def test_experiment_builds_one_action_one_table_one_integral(monkeypatch):
     monkeypatch.setattr(vmbv_mod, "skorohod", counted("skorohod", vmbv_mod.skorohod))
     donsker_vmbv_experiment(1.0, 0.25, 1.0, 8, list(LAMBDAS), GRID)
     assert calls == {"build": 1, "apply": 1, "tables": 1, "skorohod": 1}
+
+
+def test_report_contraction_matches_per_cell_scalar_sums():
+    """One contraction of the tables against the scalar sum per cell and per
+    condition, with a zero row, zero cells, orders above the log-space guard
+    and weight indices of both signs."""
+    rng = rng_from(71)
+    orders = (0, 2, 4, 32, 44)
+    cells = GRID.cells
+    a3, b4, b5, aggregate = (rng.uniform(0.0, 3.0, (len(orders), cells)) for _ in range(4))
+    a3[1] = 0.0
+    a3[:, 5] = 0.0
+    b5[3] = 0.0
+    tables = DiagnosticTables(GRID, 1.0, orders, a3, b4, b5, aggregate, 0)
+    step = GRID.step
+    for lam in (-0.7, 0.5, 1.0, 2.0):
+        got = tables.report(lam)
+        want_a3 = [order_weighted_sum_scalar(orders, column, -lam) for column in a3.T]
+        assert all(g == pytest.approx(w, rel=1e-13, abs=0.0) for g, w in zip(got.a3, want_a3))
+        assert got.a3[5] == 0.0
+        for name, table in (("b4", b4), ("b5", b5), ("aggregate", aggregate)):
+            want = step * order_weighted_sum_scalar(orders, table.sum(axis=1), -lam)
+            assert getattr(got, name) == pytest.approx(want, rel=1e-13, abs=0.0), name
+        want_s_max = max(a * GRID.t_left(s) for s, a in enumerate(want_a3))
+        assert got.a3_times_s_max == pytest.approx(want_s_max, rel=1e-13)

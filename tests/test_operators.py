@@ -35,6 +35,7 @@ from dense_ref import (
     dense_slice,
     dense_vector,
     dense_wick,
+    pettis_per_cell,
 )
 
 
@@ -185,7 +186,7 @@ def test_skorohod_mixed_storage_forms_match_dense():
     for (a, b) in [(0, GRID.cells), (1, 3), (2, 3)]:
         out = skorohod(proc, GRID.t_left(a), GRID.t_left(b))
         assert all(isinstance(k, SymKernel) for k in out.components.values())
-        # the order-1 output is stored first, which fixes the bits of its norms
+        # the outputs are stored in ascending order
         assert next(iter(out.components)) == 1
         want = dense_skorohod(GRID, dense_vals, a, b)
         assert compare_dense(GRID, dense_vector(out, n_max=3), want) < 1e-12
@@ -252,6 +253,45 @@ def test_pettis_commutes_with_s_transform():
     lhs = s_transform(pettis_time_integral(proc, 0.0, 1.0), xi)
     rhs = GRID.step * sum(s_transform(proc.at(j), xi) for j in range(GRID.cells))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+
+
+PETTIS_GRID = make_grid(1.0, 8)
+
+
+def _pettis_processes():
+    g = PETTIS_GRID
+    rng = rng_from(59)
+    sparse = random_chaos_process(g, 3, rng)
+    layered = ChaosProcess.from_values(g, [
+        ChaosVector(g, {n: LayeredKernel(n, g, rng.standard_normal(g.cells)) for n in (3, 1, 2)})
+        for _ in range(g.cells)
+    ])
+    # order 2 cancels over cells 1 and 2, order 1 only over the whole grid,
+    # and order 3 meets a sparse kernel at the last cell
+    a = random_sym_kernel(g, 2, rng)
+    lk = LayeredKernel(1, g, rng.standard_normal(g.cells))
+    cells = [ChaosVector(g, {1: lk, 3: LayeredKernel(3, g, np.ones(g.cells))})]
+    cells += [ChaosVector(g, {2: a}), ChaosVector(g, {2: a.scale(-1.0), 0: SymKernel.scalar(g, 2.0)})]
+    cells += [ChaosVector.zero(g)] * (g.cells - 5)
+    cells += [ChaosVector(g, {3: random_sym_kernel(g, 3, rng)}), ChaosVector(g, {1: lk.scale(-1.0)})]
+    cancelling = ChaosProcess.from_values(g, cells)
+    return {"sparse": sparse, "layered": layered, "cancelling": cancelling}
+
+
+@pytest.mark.parametrize("name", ["sparse", "layered", "cancelling"])
+def test_pettis_one_pass_matches_chained_vector_sums(name):
+    """The one-pass order-wise sum equals the chain of chaos-vector sums
+    bit for bit, with the same components in the same order."""
+    proc = _pettis_processes()[name]
+    for a, b in [(0.0, 1.0), (PETTIS_GRID.t_left(1), PETTIS_GRID.t_left(3))]:
+        got = pettis_time_integral(proc, a, b)
+        want = pettis_per_cell(proc, a, b)
+        assert list(got.components) == list(want.components)
+        for n, k in want.components.items():
+            assert type(got.components[n]) is type(k)
+            assert got.components[n].to_json() == k.to_json()
+    if name == "cancelling":
+        assert 2 not in pettis_time_integral(proc, 0.0, 1.0).components
 
 
 # -- products --------------------------------------------------------------------

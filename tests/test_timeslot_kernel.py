@@ -1,12 +1,21 @@
 """The structured symmetrized-time-slot kernel against literal densification."""
 
+import math
+
 import numpy as np
 import pytest
 
 from chaoscalc import ChaosProcess, ChaosVector, LayeredKernel, TimeSlotSymKernel, make_grid, skorohod
+from chaoscalc.kernels import layer_weights
 from chaoscalc.testing import rng_from
 
-from dense_ref import dense_from_kernel, dense_inner, dense_norm_sq
+from dense_ref import (
+    dense_from_kernel,
+    dense_inner,
+    dense_norm_sq,
+    g_layered_inner_per_cell,
+    gg_inner_per_cell,
+)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -89,3 +98,31 @@ def test_skorohod_layered_process_matches_sparse_path():
     db = dense_from_kernel(b)
     assert np.max(np.abs(da - db)) < 1e-12
     assert a.norm_sq() == pytest.approx(b.norm_sq(), rel=1e-12)
+
+
+def _family_norm(k: TimeSlotSymKernel) -> float:
+    """L2 norm of the raw family ``G(x, s) = phi[s, max x]`` before the
+    symmetrization, which bounds every inner product with it."""
+    wq = layer_weights(k.grid, k.order - 1)
+    return math.sqrt(k.grid.step * float(np.einsum("sr,sr,r->", k.phi, k.phi, wq)))
+
+
+def _layered_norm(grid, order: int, layers: np.ndarray) -> float:
+    return math.sqrt(float(np.dot(layer_weights(grid, order), layers * layers)))
+
+
+@pytest.mark.parametrize("cells", [2, 5, 33, 80])
+@pytest.mark.parametrize("order", [2, 3, 7])
+def test_time_slot_inner_products_match_per_cell_loops(order, cells):
+    """The closed forms against the loops over cells, on random signed
+    tables."""
+    g = make_grid(1.0, cells)
+    rng = rng_from(1000 * order + cells)
+    a = TimeSlotSymKernel(order, g, rng.standard_normal((cells, cells)))
+    b = TimeSlotSymKernel(order, g, rng.standard_normal((cells, cells)))
+    layers = rng.standard_normal(cells)
+    scale = _family_norm(a) * _family_norm(b)
+    assert abs(a._gg_inner(b) - gg_inner_per_cell(a, b)) <= 1e-12 * scale
+    assert abs(a._gg_inner(a) - gg_inner_per_cell(a, a)) <= 1e-12 * _family_norm(a) ** 2
+    scale = _family_norm(a) * _layered_norm(g, order, layers)
+    assert abs(a._g_layered_inner(layers) - g_layered_inner_per_cell(a, layers)) <= 1e-12 * scale

@@ -2,6 +2,7 @@
 structural properties (decomposition, linearity, localization, pull-out,
 stability)."""
 
+import json
 import math
 from collections import Counter
 
@@ -14,7 +15,9 @@ from chaoscalc import (
     ChaosVector,
     FbmKernel,
     IndependenceError,
+    LayeredKernel,
     OuKernel,
+    SymKernel,
     TestFunctionXi,
     TruncationOverflowError,
     chaos_formula_oracle,
@@ -23,13 +26,20 @@ from chaoscalc import (
     integrate_strongind,
     integrate_wick,
     kernel_eval,
+    kg_apply,
     make_grid,
     pointwise,
     s_transform,
     s_transform_oracle,
+    skorohod,
     stability_suite,
+    wick,
 )
+from chaoscalc.cli import main
+from chaoscalc.config import parse_config
 from chaoscalc.testing import random_chaos_process, random_chaos_vector, rng_from
+
+from dense_ref import compare_dense, dense_skorohod, dense_vector
 
 GRID = make_grid(1.0, 8)
 UNIT_KERNEL = FbmKernel(H=0.5)
@@ -217,6 +227,20 @@ def test_strongind_gate_and_equality():
         assert res.extra_diagnostics["sigma_max_order"] == 2
 
 
+def test_volatility_gates_equal_per_cell_norm_sums():
+    """C(2) and D(10) contract one [order, cell] norm table; each equals the
+    step-weighted sum of the cells' weighted norms bit for bit."""
+    rng = rng_from(233)
+    proc = random_chaos_process(GRID, 2, rng)
+    sig = random_chaos_process(GRID, 3, rng)
+    k = OuKernel(alpha=1.0)
+    for lam in (0.5, 1.5):
+        want = [GRID.step * sum(sig.at(s).gnorm_sq(index) for s in range(GRID.cells))
+                for index in (lam, -lam)]
+        assert integrate_sigma(proc, sig, k, 1.0, lam=lam).extra_diagnostics["C(2)"] == want[0]
+        assert integrate_wick(proc, sig, k, 1.0, lam=lam).extra_diagnostics["D(10)"] == want[1]
+
+
 def test_strongind_runs_the_pointwise_pipeline_once(monkeypatch):
     """The gated integral takes one Skorohod step with pointwise products and
     never runs the Wick pipeline; its equality with the Wick integral is
@@ -364,3 +388,47 @@ def test_constant_volatility_scales_the_point_mass_integral(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(obj))
     assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+
+def _mixed_form_config(mode: str) -> dict:
+    """The point-mass integrand under a custom volatility that is the
+    constant 1 except at cell 2, where it is an order-2 sparse kernel: the
+    products hold layered kernels at some cells and sparse ones at others,
+    at the same order."""
+    grid = {"T": 1.0, "M": 4}
+    one = {"grid": grid, "components": [{"order": 0, "grid": grid, "entries": [[[], 1.0]]}]}
+    pair = {"grid": grid, "components": [{"order": 2, "grid": grid, "entries": [[[0, 1], 1.0]]}]}
+    return {
+        "grid": {"horizon": 1.0, "cells": 4},
+        "kernel": {"kind": "ou", "alpha": 1.0},
+        "integrand": {"builder": "donsker", "order": 2, "eps": 0.25},
+        "volatility": {"mode": mode, "spec": {"builder": "custom",
+                                              "cells": [one, one, pair, one]}},
+        "t": 1.0,
+        "lambdas": [0.5, 1.0],
+        "seed": 7,
+    }
+
+
+@pytest.mark.parametrize("mode", ["wick", "pointwise"])
+def test_mixed_storage_forms_at_one_order(tmp_path, mode):
+    obj = _mixed_form_config(mode)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(obj))
+    assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    if mode != "wick":
+        return
+
+    cfg = parse_config(obj)
+    phi, vol, kernel = cfg.integrand(), cfg.volatility(), cfg.kernel()
+    got = integrate_wick(phi, vol, kernel, 1.0).value
+    assert rel_error(got, chaos_formula_oracle(phi, kernel, 1.0, Sigma=vol)) < 1e-10
+
+    kg = kg_apply(phi, kernel, 1.0)
+    integrand = ChaosProcess.from_values(cfg.grid, [wick(kg.at(s), vol.at(s)) for s in range(4)])
+    forms = {type(integrand.at(s).components[2]) for s in range(4) if 2 in integrand.at(s).components}
+    assert forms == {LayeredKernel, SymKernel}
+    dense_vals = [dense_vector(integrand.at(s)) for s in range(4)]
+    out = skorohod(integrand, 0.0, 1.0)
+    want = dense_skorohod(cfg.grid, dense_vals, 0, 4)
+    assert compare_dense(cfg.grid, dense_vector(out, n_max=max(want)), want) <= 1e-12
