@@ -15,7 +15,13 @@ from .chaos import (
     pairing,
     truncate,
 )
-from .errors import IndependenceError, IntegrabilityError, RepresentationLimitError, TruncationOverflowError
+from .errors import (
+    IndependenceError,
+    IntegrabilityError,
+    RepresentationLimitError,
+    StabilityLawError,
+    TruncationOverflowError,
+)
 from .grid import GridSpec, make_grid
 from .kernels import LayeredKernel, SymKernel, TimeSlotSymKernel, inner_product, sym_store
 from .montecarlo import NoiseVector, evaluate, ito_oracle, mc_moments, sample_noise
@@ -87,6 +93,7 @@ __all__ = [
     "IndependenceError",
     "TruncationOverflowError",
     "RepresentationLimitError",
+    "StabilityLawError",
     "make_grid",
     "sym_store",
     "inner_product",

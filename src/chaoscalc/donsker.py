@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec
 from .kernels import LayeredKernel, SymKernel
-from .vmbv import _check_gate, _integrate
-from .volterra import FbmKernel, OuKernel, kernel_action
+from .stacked import _integrate
+from .vmbv import _check_gate
+from .volterra import FbmKernel, OuKernel, _order_stacks, kernel_action
 
 
 def _check_aligned_time(grid: GridSpec, t: float, name: str) -> int:
@@ -157,15 +158,17 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
 
     if isinstance(lambdas, (int, float)):
         lambdas = [float(lambdas)]
-    # one kernel action, one set of diagnostic tables and one integral serve
-    # every weight index; each index is gated from the same tables
+    # one kernel action, one set of order stacks, one set of diagnostic
+    # tables and one integral serve every weight index; each index is gated
+    # from the same tables
     action = kernel_action(kernel, grid, t)
-    tables = action.diagnostics(proc)
+    stacks = _order_stacks(proc, t_cell)
+    acted = action.act(stacks)
+    tables = action.tables(stacks, acted)
     reports = [tables.report(lam) for lam in lambdas]
     for report in reports:
         _check_gate(report)
-    kg = action.apply(proc)
-    value = _integrate(proc, kg, t_cell, None, None, None)[0]
+    value = _integrate(grid, t_cell, acted)[0]
 
     rows = []
     a3_by_lambda = {}
@@ -201,13 +204,13 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
     kg_layer0 = {}
     sign_ok = True
     probe_cells = sorted({eps_cell, (eps_cell + t_cell) // 2, t_cell - 1})
+    layered = {stack.order: stack.rows for stack in acted if stack.layered}
     for s_cell in probe_cells:
-        vec = kg.at(s_cell)
         for n in range(1, N + 1):
-            comp = vec.components.get(2 * n)
-            if comp is None or not isinstance(comp, LayeredKernel):
+            action_rows = layered.get(2 * n)
+            if action_rows is None or not action_rows[s_cell].any():
                 continue
-            v0 = float(comp.layers[0])
+            v0 = float(action_rows[s_cell, 0])
             kg_layer0[(s_cell, 2 * n)] = v0
             if v0 != 0.0 and math.copysign(1.0, v0) != (-1.0) ** n:
                 sign_ok = False

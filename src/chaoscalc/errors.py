@@ -49,3 +49,14 @@ class TruncationOverflowError(RuntimeError):
 class RepresentationLimitError(RuntimeError):
     """A structured kernel is too large to convert to sparse tuples; the
     command line exits 4 on it, as on an overflow."""
+
+
+class StabilityLawError(RuntimeError):
+    """The perturbation residual of ``stability_suite`` broke the exact
+    ``1/n`` law at step ``n``: ``residual`` against ``expected``."""
+
+    def __init__(self, n: int, residual: float, expected: float):
+        self.n = n
+        self.residual = residual
+        self.expected = expected
+        super().__init__(f"stability law violated at n={n}: residual {residual}, expected {expected}")

@@ -78,24 +78,50 @@ def run_lengths(tuples: np.ndarray) -> np.ndarray:
 _FACTORIALS = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
 
 
-def multiplicities_from_runs(runs: np.ndarray) -> np.ndarray:
-    """``n! / prod(run!)`` per row of an ``(nnz, n)`` ``run_lengths`` matrix.
+def multiplicities(tuples: np.ndarray) -> np.ndarray:
+    """``multiplicity`` of every sorted row of an ``(nnz, n)`` tuple matrix:
+    ``n!`` over the product of each slot's 1-based position in its run of
+    equal cells, which is the product of the run factorials.
 
     Exact: int64 through order 20, Python integers (object dtype) above,
     where ``n!`` no longer fits in int64.
     """
-    n = runs.shape[1]
-    if n < len(_FACTORIALS):
-        fact = _FACTORIALS
+    nnz, n = tuples.shape
+    big = n >= len(_FACTORIALS)
+    position = np.ones(nnz, dtype=np.int64)
+    runs = np.ones(nnz, dtype=object if big else np.int64)
+    for j in range(1, n):
+        position = np.where(tuples[:, j] == tuples[:, j - 1], position + 1, 1)
+        runs = runs * position
+    return (math.factorial(n) if big else _FACTORIALS[n]) // runs
+
+
+def unique_rows(tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an ``(L, n)`` non-negative int matrix, in
+    lexicographic order, and the index of each input row among them.
+
+    Rows are ranked through one int64 code per row (base ``max + 1``) when
+    that fits, and by a column-wise lexsort when it does not.
+    """
+    count, n = tuples.shape
+    if count == 0 or n == 0:
+        return tuples[:min(count, 1)], np.zeros(count, dtype=np.int64)
+    new = np.ones(count, dtype=bool)
+    base = int(tuples.max()) + 1
+    if n * math.log2(max(base, 2)) < 62:
+        codes = tuples[:, 0].astype(np.int64)
+        for j in range(1, n):
+            codes = codes * base + tuples[:, j]
+        rank = np.argsort(codes, kind="stable")
+        ranked = codes[rank]
+        new[1:] = ranked[1:] != ranked[:-1]
     else:
-        fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=object)
-    # the run factorials of a row multiply to at most n!, so int64 holds them
-    return fact[n] // fact[runs].prod(axis=1)
-
-
-def multiplicities(tuples: np.ndarray) -> np.ndarray:
-    """``multiplicity`` of every sorted row of an ``(nnz, n)`` tuple matrix."""
-    return multiplicities_from_runs(run_lengths(tuples))
+        rank = np.lexsort(tuples.T[::-1])
+        ranked = tuples[rank]
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(count, dtype=np.int64)
+    inverse[rank] = np.cumsum(new) - 1
+    return tuples[rank[new]], inverse
 
 
 def sub_multisets(tup: tuple[int, ...], k: int) -> set[tuple[int, ...]]:
@@ -146,6 +172,21 @@ class SymKernel:
         return SymKernel(0, grid, {(): float(value)} if value != 0.0 else {})
 
     @staticmethod
+    def from_arrays(order: int, grid: GridSpec, tuples: np.ndarray, coef: np.ndarray) -> "SymKernel":
+        """Kernel from a canonical COO form: an ``(nnz, order)`` matrix of
+        distinct sorted tuples and their coefficients.  Zero coefficients are
+        dropped by one mask, and the entries keep the row order, so rows in
+        lexicographic order give a kernel whose ``arrays()`` needs no sort."""
+        out = SymKernel(order, grid)
+        live = coef != 0.0
+        if order == 0:
+            if live.any():
+                out.entries[()] = float(coef[live][0])
+            return out
+        out.entries = dict(zip(zip(*tuples[live].T.tolist()), coef[live].tolist()))
+        return out
+
+    @staticmethod
     def from_cell_values(grid: GridSpec, values) -> "SymKernel":
         """Order-1 kernel from one value per grid cell."""
         ent = {(j,): float(v) for j, v in enumerate(values) if v != 0.0}
@@ -182,7 +223,13 @@ class SymKernel:
         tuples = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
                              count=nnz * self.order).reshape(nnz, self.order)
         coef = np.fromiter(self.entries.values(), dtype=float, count=nnz)
-        if self.order == 0:  # at most one entry, and lexsort needs a key
+        if self.order == 0 or nnz < 2:
+            return tuples, coef
+        # sort only when some consecutive pair of rows is out of order: the
+        # first column where two neighbours differ decides their order
+        step = tuples[1:] - tuples[:-1]
+        first = (step != 0).argmax(axis=1)
+        if (step[np.arange(nnz - 1), first] > 0).all():
             return tuples, coef
         rank = np.lexsort(tuples.T[::-1])
         return tuples[rank], coef[rank]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec, same_grid
-from .kernels import multiplicities_from_runs, run_lengths
+from .kernels import multiplicities, run_lengths
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def evaluate_block(phi: ChaosVector, xi_block: np.ndarray) -> np.ndarray:
         tuples, coef = k.to_sparse().arrays()
         runs = run_lengths(tuples)
         max_deg = max(max_deg, int(runs.max(initial=0)))
-        weight = coef * multiplicities_from_runs(runs).astype(float) * grid.step ** (n / 2.0)
+        weight = coef * multiplicities(tuples).astype(float) * grid.step ** (n / 2.0)
         # row of He_run(xi_cell) in the flattened table; He_0 = 1 inside a run
         terms.append((runs * grid.cells + tuples, weight))
     he = _hermite_table(xi_block, max_deg).reshape((max_deg + 1) * grid.cells, n_paths)

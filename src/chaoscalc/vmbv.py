@@ -9,6 +9,10 @@ the diagonal derivative:
     value = skorohod(s -> product(action(t,s), vol(s)))
           + time_integral(s -> product(D_s action(t,s), vol(s))).
 
+The pipeline runs on order stacks, all cells of one chaos order at once
+(``stacked._integrate``); the per-cell operators of ``operators`` compute
+the same and serve the tests as its reference.
+
 The two independent consistency oracles (direct per-order kernel assembly,
 and the scalar transform identity) are implemented on their own code paths
 and must agree with the pipelines exactly in the discrete model.
@@ -22,20 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import ChaosProcess, ChaosVector, linear_combine, order_weighted_sum
-from .errors import IndependenceError, IntegrabilityError, TruncationOverflowError
+from .errors import IndependenceError, IntegrabilityError, StabilityLawError, TruncationOverflowError
 from .grid import GridSpec, same_grid
 from .kernels import SymKernel
-from .operators import (
-    TestFunctionXi,
-    derivative_at,
-    pettis_time_integral,
-    pointwise,
-    s_transform,
-    skorohod,
-    strongly_independent,
-    wick,
+from .operators import TestFunctionXi, derivative_at, s_transform
+from .stacked import _integrate
+from .volterra import (
+    AssumptionReport,
+    DiagnosticTables,
+    VolterraKernel,
+    _order_stacks,
+    _OrderStack,
+    _stieltjes_weights,
+    kernel_action,
 )
-from .volterra import AssumptionReport, KernelAction, VolterraKernel, _stieltjes_weights, kernel_action
 
 
 @dataclass(frozen=True)
@@ -69,50 +73,31 @@ def _check_gate(report: AssumptionReport):
         raise IntegrabilityError(bad, f"non-finite diagnostic at lambda={report.lam}")
 
 
-def _check_cap(natural: int, cap: int | None):
-    if cap is not None and natural > cap:
+def _check_cap(phi: ChaosProcess, vol: ChaosProcess | None, cap: int | None):
+    """Raise when the integral's top order exceeds an explicit cap."""
+    if cap is None:
+        return
+    natural = phi.max_order() + (0 if vol is None else vol.max_order()) + 1
+    if natural > cap:
         raise TruncationOverflowError(natural, cap)
 
 
-def _diagnose(action: KernelAction, phi: ChaosProcess, lam: float) -> AssumptionReport:
-    report = action.diagnostics(phi).report(lam)
+def _gate(tables: DiagnosticTables, lam: float) -> AssumptionReport:
+    report = tables.report(lam)
     _check_gate(report)
     return report
 
 
-def _integrate(phi, kg, t_cell, product, vol, max_order):
-    """Skorohod step plus drift integral of the kernel action ``kg`` of
-    ``phi``, multiplied per cell by the volatility when ``product`` is set."""
-    grid = phi.grid
-    if product is None:
-        natural = phi.max_order() + 1
-        integrand = kg
-        drift_values = ChaosProcess.from_function(
-            grid, lambda s: derivative_at(kg.at(s), s)
-        )
-    else:
-        vol_proc = _sigma_process(grid, vol)
-        natural = phi.max_order() + vol_proc.max_order() + 1
-        integrand = ChaosProcess.from_function(
-            grid, lambda s: product(kg.at(s), vol_proc.at(s))
-        )
-        drift_values = ChaosProcess.from_function(
-            grid, lambda s: product(derivative_at(kg.at(s), s), vol_proc.at(s))
-        )
-    _check_cap(natural, max_order)
-
-    upper = grid.t_left(t_cell)
-    skor = skorohod(integrand, 0.0, upper)
-    drift = pettis_time_integral(drift_values, 0.0, upper)
-    return skor.add(drift), skor, drift
-
-
 def _integrate_gated(phi, kernel, t, product, vol, lam, max_order):
-    """Build the kernel action once, gate its diagnostics at ``lam``, and
-    integrate."""
+    """Build the kernel action and the integrand's order stacks once, gate
+    the diagnostics at ``lam``, check the order cap and integrate."""
     action = kernel_action(kernel, phi.grid, t)
-    report = _diagnose(action, phi, lam)
-    value, skor, drift = _integrate(phi, action.apply(phi), action.t_cell, product, vol, max_order)
+    stacks = _order_stacks(phi, action.t_cell)
+    acted = action.act(stacks)
+    report = _gate(action.tables(stacks, acted), lam)
+    _check_cap(phi, vol, max_order)
+    vols = None if product is None else _order_stacks(vol, action.t_cell)
+    value, skor, drift = _integrate(phi.grid, action.t_cell, acted, vols, product == "pointwise")
     return value, skor, drift, report
 
 
@@ -149,7 +134,7 @@ def integrate_sigma(phi: ChaosProcess, sigma, kernel: VolterraKernel, t: float,
     grid = phi.grid
     vol = _sigma_process(grid, sigma)
     c2 = _volatility_gate(vol, grid.snap_down(t), lam, "C(2)")
-    value, skor, drift, report = _integrate_gated(phi, kernel, t, pointwise, vol, lam, max_order)
+    value, skor, drift, report = _integrate_gated(phi, kernel, t, "pointwise", vol, lam, max_order)
     extra = {"C(2)": c2, "sigma_max_order": vol.max_order()}
     return VmbvResult(value, skor, drift, report, extra)
 
@@ -160,7 +145,7 @@ def integrate_wick(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: float,
     grid = phi.grid
     vol = _sigma_process(grid, Sigma)
     d10 = _volatility_gate(vol, grid.snap_down(t), -lam, "D(10)")
-    value, skor, drift, report = _integrate_gated(phi, kernel, t, wick, vol, lam, max_order)
+    value, skor, drift, report = _integrate_gated(phi, kernel, t, "wick", vol, lam, max_order)
     extra = {"D(10)": d10, "sigma_max_order": vol.max_order()}
     return VmbvResult(value, skor, drift, report, extra)
 
@@ -178,16 +163,30 @@ def integrate_strongind(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: flo
     grid = phi.grid
     vol = _sigma_process(grid, Sigma)
     action = kernel_action(kernel, grid, t)
-    kg = action.apply(phi)
-    for s in range(action.t_cell):
-        rep = strongly_independent(kg.at(s), vol.at(s))
-        if not rep.disjoint:
-            raise IndependenceError(s, f"supports overlap at cell {rep.first_overlap}")
-    report = _diagnose(action, phi, lam)
+    stacks = _order_stacks(phi, action.t_cell)
+    acted = action.act(stacks)
+    vols = _order_stacks(vol, action.t_cell)
+    overlap = _support(acted, grid, action.t_cell) & _support(vols, grid, action.t_cell)
+    bad = np.flatnonzero(overlap.any(axis=1))
+    if bad.size:
+        s = int(bad[0])
+        raise IndependenceError(s, f"supports overlap at cell {int(np.flatnonzero(overlap[s])[0])}")
+    report = _gate(action.tables(stacks, acted), lam)
     d10 = _volatility_gate(vol, action.t_cell, -lam, "D(10)")
-    value, skor, drift = _integrate(phi, kg, action.t_cell, pointwise, vol, max_order)
+    _check_cap(phi, vol, max_order)
+    value, skor, drift = _integrate(grid, action.t_cell, acted, vols, contract=True)
     extra = {"D(10)": d10, "sigma_max_order": vol.max_order()}
     return VmbvResult(value, skor, drift, report, extra)
+
+
+def _support(stacks: list[_OrderStack], grid: GridSpec, t_cell: int) -> np.ndarray:
+    """``[cell, grid cell]`` mask of the cells the components above order 0
+    of each cell depend on, as ``ChaosVector.support_cells``."""
+    out = np.zeros((t_cell, grid.cells), dtype=bool)
+    for stack in stacks:
+        if stack.order > 0:
+            out |= stack.support()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +349,8 @@ def stability_suite(phi: ChaosProcess, psi: ChaosProcess, kernel: VolterraKernel
 
     By linearity the residual norm must equal ``(1/n)`` times the norm of the
     integral of the perturbation, so consecutive residuals contract by
-    ``n/(n+1)`` exactly; violations raise.  The Wick variant is normed at the
-    shifted index ``-lam - 1/2 - eps``.
+    ``n/(n+1)`` exactly; a violation raises ``StabilityLawError``.  The Wick
+    variant is normed at the shifted index ``-lam - 1/2 - eps``.
     """
     if variant not in ("plain", "sigma", "wick"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -375,8 +374,6 @@ def stability_suite(phi: ChaosProcess, psi: ChaosProcess, kernel: VolterraKernel
         residual = run(shifted).sub(base).gnorm(norm_index)
         expected = pert_norm / n
         if abs(residual - expected) > 1e-9 * max(expected, 1.0):
-            raise AssertionError(
-                f"stability law violated at n={n}: residual {residual}, expected {expected}"
-            )
+            raise StabilityLawError(n, residual, expected)
         rows.append({"n": n, "residual": residual, "expected": expected})
     return rows

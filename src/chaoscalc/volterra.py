@@ -32,14 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
+from .errors import RepresentationLimitError
 from .grid import GridSpec
-from .kernels import LayeredKernel, SymKernel, layer_weights, multiplicities
+from .kernels import _DENSIFY_LIMIT, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
 
 _FBM_QUAD_RELTOL = 1e-9
 
@@ -49,7 +51,6 @@ class VolterraKernel:
 
     kind = "abstract"
     singular_at_diagonal = False
-    singular_exponent: float | None = None
     diagonal_offset = 0.5  # in step units; clip distance for singular kernels
 
     def _eval(self, t: float, s: float) -> float:
@@ -118,10 +119,6 @@ class TurbulenceKernel(VolterraKernel):
     def singular_at_diagonal(self) -> bool:  # type: ignore[override]
         return self.nu < 1.0
 
-    @property
-    def singular_exponent(self):  # type: ignore[override]
-        return self.nu - 1.0 if self.nu < 1.0 else None
-
     def _eval(self, t, s):
         u = t - s
         return u ** (self.nu - 1.0) * math.exp(-self.alpha * u)
@@ -160,10 +157,6 @@ class FbmKernel(VolterraKernel):
     @property
     def singular_at_diagonal(self) -> bool:  # type: ignore[override]
         return self.H < 0.5
-
-    @property
-    def singular_exponent(self):  # type: ignore[override]
-        return self.H - 0.5 if self.H < 0.5 else None
 
     def _eval(self, t, s):
         H = self.H
@@ -314,48 +307,133 @@ _DIFF_BLOCK = 1 << 18
 
 class _OrderStack:
     """The order-``n`` components of a process at the cells below ``t``, one
-    row per cell in shared coordinates; a row's squared norm is
-    ``row**2 @ norm_weights``.
+    row per cell in shared coordinates.
 
-    The coordinates are the layers when every component is layered, else the
-    canonical tuples; layered and time-slot components are then densified,
-    as adding them to a sparse kernel would.
+    The coordinates are the layers (``tuples`` is None) when every component
+    is layered, else the canonical tuples: an ``(K, n)`` matrix of distinct
+    sorted tuples in lexicographic order, with ``rows[s, j]`` the coefficient
+    of tuple ``j`` at cell ``s``.  Layered and time-slot components of a
+    sparse stack are densified, as adding them to a sparse kernel would.
     """
 
-    def __init__(self, grid: GridSpec, order: int, comps: list):
+    __slots__ = ("grid", "order", "tuples", "rows", "_mult")
+
+    def __init__(self, grid: GridSpec, order: int, tuples: np.ndarray | None, rows: np.ndarray):
         self.grid = grid
         self.order = order
+        self.tuples = tuples
+        self.rows = rows
+        self._mult = None
+
+    @staticmethod
+    def of(grid: GridSpec, order: int, comps: list) -> "_OrderStack":
+        """Stack of one component (or None) per cell."""
         if order > 0 and all(c is None or isinstance(c, LayeredKernel) for c in comps):
-            self.keys = None
             zero = np.zeros(grid.cells)
-            self.rows = np.array([zero if c is None else c.layers for c in comps])
-            self.norm_weights = layer_weights(grid, order)
-            return
-        sparse = [None if c is None else c.to_sparse() for c in comps]
-        index: dict[tuple[int, ...], int] = {}
-        for c in sparse:
-            if c is not None:
-                for tup in c.entries:
-                    index.setdefault(tup, len(index))
-        self.keys = list(index)
-        self.rows = np.zeros((len(comps), len(index)))
-        for i, c in enumerate(sparse):
-            if c is not None:
-                for tup, v in c.entries.items():
-                    self.rows[i, index[tup]] = v
-        tuples = np.array(self.keys, dtype=np.int64).reshape(len(self.keys), order)
-        self.norm_weights = grid.step ** order * multiplicities(tuples).astype(float)
+            return _OrderStack(grid, order, None, np.array([zero if c is None else c.layers for c in comps]))
+        entries = [(s, c.to_sparse().entries) for s, c in enumerate(comps) if c is not None]
+        sizes = [len(e) for _, e in entries]
+        total = sum(sizes)
+        tuples = np.fromiter(chain.from_iterable(chain.from_iterable(e) for _, e in entries),
+                             dtype=np.int64, count=total * order).reshape(total, order)
+        keys, index = unique_rows(tuples)
+        rows = np.zeros((len(comps), len(keys)))
+        rows[np.repeat([s for s, _ in entries], sizes), index] = np.fromiter(
+            chain.from_iterable(e.values() for _, e in entries), dtype=float, count=total)
+        return _OrderStack(grid, order, keys, rows)
+
+    @property
+    def layered(self) -> bool:
+        return self.tuples is None
+
+    def with_rows(self, rows: np.ndarray) -> "_OrderStack":
+        """The same coordinates with other rows."""
+        out = _OrderStack(self.grid, self.order, self.tuples, rows)
+        out._mult = self._mult
+        return out
+
+    def multiplicities(self) -> np.ndarray:
+        """Orderings of each tuple, as floats: ``d = c * multiplicity`` are
+        the coordinates in which products and the Skorohod step are
+        multiset unions."""
+        if self._mult is None:
+            self._mult = multiplicities(self.tuples).astype(float)
+        return self._mult
+
+    def norm_weights(self) -> np.ndarray:
+        """A row's squared norm is ``row**2 @ norm_weights()``."""
+        if self.layered:
+            return layer_weights(self.grid, self.order)
+        return self.grid.step ** self.order * self.multiplicities()
 
     def kernel(self, row: np.ndarray):
-        if self.keys is None:
+        if self.layered:
             return LayeredKernel(self.order, self.grid, row)
-        return SymKernel(self.order, self.grid, {self.keys[i]: float(row[i]) for i in np.flatnonzero(row)})
+        return SymKernel.from_arrays(self.order, self.grid, self.tuples, row)
+
+    def support(self) -> np.ndarray:
+        """``[cell, grid cell]`` mask of the cells each row's kernel
+        depends on, as ``support_cells`` of that kernel."""
+        if self.layered:
+            live = self.rows != 0.0
+            return np.logical_or.accumulate(live[:, ::-1], axis=1)[:, ::-1]
+        out = np.zeros((len(self.rows), self.grid.cells), dtype=bool)
+        s, j = np.nonzero(self.rows)
+        out[np.repeat(s, self.order), self.tuples[j].ravel()] = True
+        return out
+
+    def densify(self, cells: np.ndarray) -> "_OrderStack":
+        """The sparse form of a layered stack's rows at the marked cells,
+        other rows zero: every multiset up to the top non-zero layer, valued
+        at its largest cell.  Raises ``RepresentationLimitError`` where
+        ``LayeredKernel.to_sparse`` of one of those rows would."""
+        n = self.order
+        rows = np.where(cells[:, None], self.rows, 0.0)
+        live = np.flatnonzero(rows.any(axis=0))
+        top = int(live[-1]) if live.size else -1
+        count = math.comb(top + n + 1, n) if live.size else 0
+        if count > _DENSIFY_LIMIT:
+            raise RepresentationLimitError(f"layered kernel too large to densify ({count} multisets)")
+        keys = np.array(list(combinations_with_replacement(range(top + 1), n)), dtype=np.int64)
+        keys = keys.reshape(len(keys), n)
+        return _OrderStack(self.grid, n, keys, rows[:, keys[:, -1]])
+
+    def derivative(self) -> "_OrderStack":
+        """The stochastic derivative of each row at its own cell, one order
+        down: ``n`` times the kernel with one slot fixed at the cell.  A
+        layered row becomes the gather ``n * rows[s, max(r, s)]``."""
+        n, rows = self.order, self.rows
+        cells = np.arange(len(rows))
+        if self.layered:
+            if n == 1:
+                return _OrderStack(self.grid, 0, np.zeros((1, 0), dtype=np.int64),
+                                   n * rows[cells, cells][:, None])
+            at = np.maximum.outer(cells, np.arange(self.grid.cells))
+            return _OrderStack(self.grid, n - 1, None, n * np.take_along_axis(rows, at, axis=1))
+        # one slice per distinct cell of a tuple: drop the first slot of its run
+        tuples = self.tuples
+        keys, cols, sliced = [], [], []
+        for j in range(n):
+            hit = tuples[:, j] < len(rows)
+            if j:
+                hit &= tuples[:, j] != tuples[:, j - 1]
+            hit = np.flatnonzero(hit)
+            keys.append(hit)
+            cols.append(tuples[hit, j])
+            sliced.append(tuples[hit][:, [i for i in range(n) if i != j]])
+        keys, cols = np.concatenate(keys), np.concatenate(cols)
+        out_keys, index = unique_rows(np.concatenate(sliced))
+        out = np.zeros((len(rows), len(out_keys)))
+        out[cols, index] = n * rows[cols, keys]
+        return _OrderStack(self.grid, n - 1, out_keys, out)
 
 
 def _order_stacks(phi: ChaosProcess, t_cell: int) -> list[_OrderStack]:
+    """The order stacks of a process over the cells below ``t``, by
+    ascending order."""
     cells = [phi.at(s).components for s in range(t_cell)]
     orders = sorted(set().union(*cells))
-    return [_OrderStack(phi.grid, n, [c.get(n) for c in cells]) for n in orders]
+    return [_OrderStack.of(phi.grid, n, [c.get(n) for c in cells]) for n in orders]
 
 
 @dataclass(frozen=True)
@@ -370,6 +448,11 @@ class KernelAction:
     with ``g[s] = g(t, s)`` at the cell midpoint and ``W[s, u]`` the exact
     Stieltjes weight of cell ``u`` over ``(s, t)``.  Cells at or above ``t``
     get no weight and have no column.
+
+    The integrals work on order stacks (``_order_stacks``): ``act`` maps the
+    integrand's stacks to those of ``K phi`` with one matmul per order, and
+    ``tables`` reads the diagnostics off the same stacks.  ``apply`` and
+    ``diagnostics`` are the per-process views of these two.
     """
 
     grid: GridSpec
@@ -383,15 +466,18 @@ class KernelAction:
     def t_cell(self) -> int:
         return len(self.g)
 
+    def act(self, stacks: list[_OrderStack]) -> list[_OrderStack]:
+        """The order stacks of ``K phi`` from those of ``phi``."""
+        return [stack.with_rows(self.matrix @ stack.rows) for stack in stacks]
+
     def apply(self, phi: ChaosProcess) -> ChaosProcess:
         """``K phi`` at every cell, one matmul per chaos order; cells at or
         above ``t`` map to zero."""
         grid = self.grid
         comps: list[dict] = [{} for _ in range(self.t_cell)]
-        for stack in _order_stacks(phi, self.t_cell):
-            for s, row in enumerate(self.matrix @ stack.rows):
-                if row.any():
-                    comps[s][stack.order] = stack.kernel(row)
+        for stack in self.act(_order_stacks(phi, self.t_cell)):
+            for s in np.flatnonzero(stack.rows.any(axis=1)).tolist():
+                comps[s][stack.order] = stack.kernel(stack.rows[s])
         values = [ChaosVector(grid, c) for c in comps]
         values += [ChaosVector.zero(grid)] * (grid.cells - self.t_cell)
         return ChaosProcess.from_values(grid, values)
@@ -399,13 +485,19 @@ class KernelAction:
     def diagnostics(self, phi: ChaosProcess) -> "DiagnosticTables":
         """Per-order, per-cell squared norms behind the integrability
         conditions; no weight index enters."""
+        stacks = _order_stacks(phi, self.t_cell)
+        return self.tables(stacks, self.act(stacks))
+
+    def tables(self, stacks: list[_OrderStack], acted: list[_OrderStack]) -> "DiagnosticTables":
+        """``diagnostics`` from the integrand's order stacks and their
+        images under ``act``."""
         t_cell = self.t_cell
         w = self.weights
         abs_w = np.abs(w)
         g_sq = self.g * self.g
         orders, a3, b4, b5, aggregate = [], [], [], [], []
-        for stack in _order_stacks(phi, t_cell):
-            x, m = stack.rows, stack.norm_weights
+        for stack, image in zip(stacks, acted):
+            x, m = stack.rows, stack.norm_weights()
             a3_n = np.empty(t_cell)
             b5_n = np.empty(t_cell)
             block = max(1, _DIFF_BLOCK // x.size)
@@ -415,12 +507,11 @@ class KernelAction:
                 a3_n[lo:hi] = np.sum(abs_w[lo:hi] * ((diff * diff) @ m), axis=1)
                 stieltjes = np.einsum("su,suk->sk", w[lo:hi], diff)
                 b5_n[lo:hi] = (stieltjes * stieltjes) @ m
-            action = self.matrix @ x
             orders.append(stack.order)
             a3.append(a3_n)
             b4.append(g_sq * ((x * x) @ m))
             b5.append(b5_n)
-            aggregate.append((action * action) @ m)
+            aggregate.append((image.rows * image.rows) @ m)
 
         def table(rows):
             return np.array(rows).reshape(len(orders), t_cell)

@@ -14,7 +14,18 @@ import math
 
 import numpy as np
 
-from chaoscalc import AssumptionReport, ChaosVector, GridSpec, SymKernel, kernel_measure
+from chaoscalc import (
+    AssumptionReport,
+    ChaosProcess,
+    ChaosVector,
+    GridSpec,
+    SymKernel,
+    derivative_at,
+    kernel_measure,
+    kg_apply,
+    pettis_time_integral,
+    skorohod,
+)
 from chaoscalc.kernels import layer_weights, multiplicity
 
 
@@ -316,3 +327,24 @@ def order_weighted_sum_scalar(orders, values, lam: float) -> float:
             log_term = math.lgamma(n + 1) + 2.0 * lam * n + math.log(abs(v))
             total += math.copysign(math.exp(log_term), v)
     return total
+
+
+def composed_integral(phi, kernel, t: float, product=None, vol=None):
+    """The integral as a per-cell composition of the public operators: the
+    Skorohod integral of ``product(K phi (s), vol(s))`` plus the weak time
+    integral of ``product(D_s K phi (s), vol(s))``; ``product`` is None,
+    ``wick`` or ``pointwise``.  Returns ``(value, skorohod part, drift)``."""
+    grid = phi.grid
+    kg = kg_apply(phi, kernel, t)
+    if product is None:
+        def product(a, b):
+            return a
+    if vol is None or isinstance(vol, ChaosVector):
+        vol = ChaosProcess.constant(grid, vol if vol is not None else ChaosVector.deterministic(grid, 1.0))
+    integrand = ChaosProcess.from_function(grid, lambda s: product(kg.at(s), vol.at(s)))
+    drift_values = ChaosProcess.from_function(
+        grid, lambda s: product(derivative_at(kg.at(s), s), vol.at(s)))
+    upper = grid.t_left(grid.snap_down(t))
+    skor = skorohod(integrand, 0.0, upper)
+    drift = pettis_time_integral(drift_values, 0.0, upper)
+    return skor.add(drift), skor, drift

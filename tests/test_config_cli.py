@@ -241,23 +241,37 @@ SWEEP_BUILDERS = {
     "random": {"builder": "random", "max_order": 2},
 }
 SWEEP_VOLATILITIES = ["constant", "brownian", "wiener", "random"]
-SWEEP_KERNELS = [{"kind": "ou", "alpha": 1.0}, {"kind": "turbulence", "alpha": 1.0, "nu": 0.8}]
+OU = {"kind": "ou", "alpha": 1.0}
+TURBULENCE = {"kind": "turbulence", "alpha": 1.0, "nu": 0.8}
+FBM_ROUGH, FBM_SMOOTH = {"kind": "fbm", "H": 0.3}, {"kind": "fbm", "H": 0.7}
+# (cells, kernel): every kernel on 4 cells, and the singular rough kernel on
+# 8 cells, which keeps the sweep to a few seconds
+SWEEP_GRIDS = [(4, OU), (4, TURBULENCE), (4, FBM_ROUGH), (4, FBM_SMOOTH), (8, FBM_ROUGH)]
+
+
+def _sweep_spec(name: str, cells: int) -> dict:
+    """A sweep builder on a grid of ``cells`` cells: the wiener weights
+    repeat to the grid size."""
+    spec = dict(SWEEP_BUILDERS[name])
+    if name == "wiener":
+        spec["weights"] = [spec["weights"][i % 4] for i in range(cells)]
+    return spec
 
 
 @pytest.mark.parametrize("integrand", sorted(SWEEP_BUILDERS))
 def test_cli_vmbv_sweep_exit_codes_and_rerun_bytes(tmp_path, integrand):
-    """Every builder x volatility x mode x kernel config on 4 cells computes
-    or fails with a documented exit code, and a rerun writes equal bytes."""
-    cases = itertools.product(SWEEP_VOLATILITIES, ["none", "pointwise", "wick", "strongind"],
-                              SWEEP_KERNELS)
-    for vol, mode, kernel in cases:
-        name = f"{integrand}-{vol}-{mode}-{kernel['kind']}"
+    """Every builder x volatility x mode config, on each grid and kernel of
+    the sweep, computes or fails with a documented exit code, and a rerun
+    writes equal bytes."""
+    cases = itertools.product(SWEEP_GRIDS, SWEEP_VOLATILITIES, ["none", "pointwise", "wick", "strongind"])
+    for (cells, kernel), vol, mode in cases:
+        name = f"{integrand}-{vol}-{mode}-{kernel['kind']}{kernel.get('H', '')}-{cells}"
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg_with(
-            grid={"horizon": 1.0, "cells": 4},
+            grid={"horizon": 1.0, "cells": cells},
             kernel=kernel,
-            integrand=SWEEP_BUILDERS[integrand],
-            volatility={"mode": mode, "spec": SWEEP_BUILDERS[vol]},
+            integrand=_sweep_spec(integrand, cells),
+            volatility={"mode": mode, "spec": _sweep_spec(vol, cells)},
         )))
         runs = []
         for rerun in range(2):

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 import chaoscalc.donsker as donsker_mod
-import chaoscalc.vmbv as vmbv_mod
 from chaoscalc import (
     ChaosProcess,
     ChaosVector,
@@ -83,11 +82,13 @@ def test_experiment_builds_one_action_one_table_one_integral(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(donsker_mod, "kernel_action", counted("build", donsker_mod.kernel_action))
+    monkeypatch.setattr(donsker_mod, "_order_stacks", counted("stacks", donsker_mod._order_stacks))
     monkeypatch.setattr(KernelAction, "apply", counted("apply", KernelAction.apply))
-    monkeypatch.setattr(KernelAction, "diagnostics", counted("tables", KernelAction.diagnostics))
-    monkeypatch.setattr(vmbv_mod, "skorohod", counted("skorohod", vmbv_mod.skorohod))
+    monkeypatch.setattr(KernelAction, "tables", counted("tables", KernelAction.tables))
+    monkeypatch.setattr(donsker_mod, "_integrate", counted("integral", donsker_mod._integrate))
     donsker_vmbv_experiment(1.0, 0.25, 1.0, 8, list(LAMBDAS), GRID)
-    assert calls == {"build": 1, "apply": 1, "tables": 1, "skorohod": 1}
+    # the layer-0 probes read the stacked action: no per-cell view is built
+    assert calls == {"build": 1, "stacks": 1, "tables": 1, "integral": 1}
 
 
 def test_report_contraction_matches_per_cell_scalar_sums():

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import chaoscalc.stacked as stacked_mod
 import chaoscalc.vmbv as vmbv_mod
 from chaoscalc import (
     ChaosProcess,
@@ -17,6 +18,7 @@ from chaoscalc import (
     IndependenceError,
     LayeredKernel,
     OuKernel,
+    StabilityLawError,
     SymKernel,
     TestFunctionXi,
     TruncationOverflowError,
@@ -242,28 +244,30 @@ def test_volatility_gates_equal_per_cell_norm_sums():
 
 
 def test_strongind_runs_the_pointwise_pipeline_once(monkeypatch):
-    """The gated integral takes one Skorohod step with pointwise products and
-    never runs the Wick pipeline; its equality with the Wick integral is
-    asserted by the tests, not re-checked at run time."""
-    calls = Counter()
+    """The gated integral takes one stacked pass with pointwise products,
+    whose contraction terms (orders 1 and 2 here) only the pointwise product
+    has, and never runs the Wick product; its equality with the Wick
+    integral is asserted by the tests, not re-checked at run time."""
+    passes = Counter()
+    contractions = Counter()
+    integrate, contract = vmbv_mod._integrate, stacked_mod._contract
 
-    def counted(name):
-        fn = getattr(vmbv_mod, name)
+    def counted_integrate(grid, t_cell, acted, vols=None, contract=False):
+        passes["plain" if vols is None else "pointwise" if contract else "wick"] += 1
+        return integrate(grid, t_cell, acted, vols, contract)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(vmbv_mod, name, wrapper)
+    def counted_contract(x, v, k, cells):
+        contractions[k] += 1
+        return contract(x, v, k, cells)
 
-    for name in ("skorohod", "wick", "pointwise"):
-        counted(name)
+    monkeypatch.setattr(vmbv_mod, "_integrate", counted_integrate)
+    monkeypatch.setattr(stacked_mod, "_contract", counted_contract)
     rng = rng_from(229)
     proc = random_chaos_process(GRID, 2, rng, cells=[0, 1, 2, 3])
     sig = random_chaos_process(GRID, 2, rng, cells=[4, 5, 6, 7])
     integrate_strongind(proc, sig, OuKernel(alpha=1.0), 1.0)
-    assert calls["skorohod"] == 1
-    assert calls["wick"] == 0
-    assert calls["pointwise"] > 0
+    assert passes == {"pointwise": 1}
+    assert contractions[0] > 0 and contractions[1] > 0 and contractions[2] > 0
 
 
 def test_strongind_rejects_overlap():
@@ -358,6 +362,38 @@ def test_stability_zero_perturbation():
     zero = ChaosProcess.constant(GRID, ChaosVector.zero(GRID))
     rows = stability_suite(phi, zero, OuKernel(alpha=1.0), 1.0, lam=0.5, n_max=4)
     assert all(r["residual"] == 0.0 for r in rows)
+
+
+def test_stability_violation_raises_typed_error(monkeypatch):
+    """A broken 1/n law raises StabilityLawError with the step, the residual
+    and the expected value; here every integral after the first two (the
+    base and the perturbation) is shifted by a constant."""
+    rng = rng_from(253)
+    k = OuKernel(alpha=1.0)
+    phi = random_chaos_process(GRID, 2, rng)
+    psi = random_chaos_process(GRID, 2, rng)
+    runs = []
+    integrate = vmbv_mod.integrate_plain
+
+    def shifted(proc, kernel, t, lam=1.0, max_order=None):
+        res = integrate(proc, kernel, t, lam=lam, max_order=max_order)
+        runs.append(res.value)
+        if len(runs) <= 2:
+            return res
+        return vmbv_mod.VmbvResult(res.value.add(ChaosVector.deterministic(GRID, 0.5)),
+                                   res.skorohod_part, res.drift_part, res.diagnostics, {})
+
+    monkeypatch.setattr(vmbv_mod, "integrate_plain", shifted)
+    with pytest.raises(StabilityLawError) as info:
+        stability_suite(phi, psi, k, 1.0, lam=0.5, n_max=4)
+    err = info.value
+    index = -0.5 - 0.1
+    assert isinstance(err, RuntimeError)
+    assert err.n == 1
+    assert err.expected == runs[1].gnorm(index)
+    want = runs[2].add(ChaosVector.deterministic(GRID, 0.5)).sub(runs[0]).gnorm(index)
+    assert err.residual == pytest.approx(want, rel=1e-12)
+    assert abs(err.residual - err.expected) > 1e-9 * max(err.expected, 1.0)
 
 
 def test_constant_volatility_scales_the_point_mass_integral(tmp_path):
