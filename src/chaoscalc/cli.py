@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -263,10 +262,7 @@ def _run_sweep(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: ``parse_args``
-    leaves it unchanged, and building it costs more than most small runs."""
     p = argparse.ArgumentParser(prog="chaoscalc", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

@@ -18,9 +18,10 @@ multiset union:
 
 Each output order is reduced to distinct tuples by sorting them, encoded as
 one integer each, and summing; the sum is divided by the multiplicities
-once.  Entries are generated and reduced in blocks of about
-``_ENTRY_BLOCK`` elements.  The per-cell operators of ``operators`` compute
-the same on dict kernels; the tests compare the two.
+once.  Entries, the pair structure of a contraction and densified layered
+rows are built in blocks of about ``_ENTRY_BLOCK`` elements, and pending
+entries are reduced at that size.  The per-cell operators of
+``operators`` compute the same on dict kernels; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -35,9 +36,16 @@ from .grid import GridSpec
 from .kernels import LayeredKernel, SymKernel, TimeSlotSymKernel, multiplicities, unique_rows
 from .volterra import _OrderStack
 
-# Elements per temporary entry array of the stacked integral; larger
-# products are generated in blocks of entries.
+# Elements per temporary array of the stacked integral; larger products,
+# pair structures and densified stacks are built in blocks.
 _ENTRY_BLOCK = 1 << 18
+
+
+def _multiplicities(tuples: np.ndarray) -> np.ndarray:
+    """``multiplicities`` as floats.  Products of several multiplicities
+    are taken in floats: two int64 factors of high orders can overflow
+    (``13! * 13! > 2**63``)."""
+    return multiplicities(tuples).astype(float)
 
 
 class _SparseSum:
@@ -81,11 +89,11 @@ class _SparseSum:
             return None
         if extra is not None:
             tuples, c = extra.to_sparse().arrays()
-            self.add(tuples, c * multiplicities(tuples))
+            self.add(tuples, c * _multiplicities(tuples))
         if not self.reduced:
             self._reduce()
         keys, d = self.parts[0]
-        return SymKernel.from_arrays(self.order, grid, keys, d / multiplicities(keys) * scale)
+        return SymKernel.from_arrays(self.order, grid, keys, d / _multiplicities(keys) * scale)
 
 
 def _expand(counts: np.ndarray, width: int):
@@ -121,29 +129,41 @@ def _splits(tuples: np.ndarray, k: int):
     return np.concatenate(rows), np.concatenate(subs), np.concatenate(rests)
 
 
+def _key_splits(tuples: np.ndarray, k: int):
+    """``_splits`` of consecutive blocks of keys, about ``_ENTRY_BLOCK``
+    elements each, with the row indices of the whole key matrix."""
+    n = tuples.shape[1]
+    step = max(1, _ENTRY_BLOCK // (math.comb(n, k) * n))
+    for lo in range(0, len(tuples), step):
+        rows, subs, rests = _splits(tuples[lo:lo + step], k)
+        yield rows + lo, subs, rests
+
+
 def _contraction_pairs(x: _OrderStack, v: _OrderStack, k: int):
     """The pair structure of a ``k``-contraction (``k >= 1``) of two sparse
     stacks: every key pair ``(a, b)`` and shared sub-multiset ``c`` of size
-    ``k``, joined on ``c``, sorted by ``a``.  Returns the key indices, the
-    unsorted output rows ``(a - c, b - c)`` and the pointwise weight
+    ``k``, joined on ``c``.  Yields blocks of about ``_ENTRY_BLOCK``
+    elements, each sorted by ``a``: the key indices, the unsorted output
+    rows ``(a - c, b - c)`` and the pointwise weight
     ``k! C(n, k) C(m, k) step^k mult(c) mult(a - c) mult(b - c)``."""
     n, m = x.order, v.order
-    rx, cx, restx = _splits(x.tuples, k)
-    rv, cv, restv = _splits(v.tuples, k)
-    _, ids = unique_rows(np.concatenate([cx, cv]))
-    idx, idv = ids[:len(rx)], ids[len(rx):]
-    rank = np.argsort(idv, kind="stable")
-    lo = np.searchsorted(idv[rank], idx, side="left")
-    counts = np.searchsorted(idv[rank], idx, side="right") - lo
-    owner = np.repeat(np.arange(len(rx)), counts)
-    partner = rank[np.repeat(lo, counts) + np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)]
+    width = n + m - 2 * k + 1
     coef = math.factorial(k) * math.comb(n, k) * math.comb(m, k) * x.grid.step ** k
-    weight = coef * (multiplicities(cx[owner]) * multiplicities(restx[owner])
-                     * multiplicities(restv[partner])).astype(float)
-    ia = rx[owner]
-    by_a = np.argsort(ia, kind="stable")
-    return (ia[by_a], rv[partner][by_a], np.hstack([restx[owner], restv[partner]])[by_a],
-            weight[by_a])
+    for rv, cv, restv in _key_splits(v.tuples, k):
+        for rx, cx, restx in _key_splits(x.tuples, k):
+            _, ids = unique_rows(np.concatenate([cx, cv]))
+            idx, idv = ids[:len(rx)], ids[len(rx):]
+            rank = np.argsort(idv, kind="stable")
+            lo = np.searchsorted(idv[rank], idx, side="left")
+            counts = np.searchsorted(idv[rank], idx, side="right") - lo
+            for owner, offset in _expand(counts, width):
+                if not len(owner):
+                    continue
+                by_a = np.argsort(rx[owner], kind="stable")
+                owner, partner = owner[by_a], rank[lo[owner] + offset][by_a]
+                weight = (coef * _multiplicities(cx[owner]) * _multiplicities(restx[owner])
+                          * _multiplicities(restv[partner]))
+                yield rx[owner], rv[partner], np.hstack([restx[owner], restv[partner]]), weight
 
 
 def _contract(x: _OrderStack, v: _OrderStack, k: int, cells: np.ndarray):
@@ -151,7 +171,8 @@ def _contract(x: _OrderStack, v: _OrderStack, k: int, cells: np.ndarray):
     stacks at the marked cells, as blocks ``(cells, unsorted tuples, d)`` of
     order ``n + m - 2k``.  ``k = 0`` is the symmetrized tensor product (the
     Wick term): ``d_{a+b} += d_a d_b`` over the non-zero entries of each
-    cell.  ``k >= 1`` applies the pair structure to the non-zero entries."""
+    cell.  ``k >= 1`` applies each block of the pair structure to the
+    non-zero entries of its keys."""
     width = x.order + v.order - 2 * k + 1
     xs, xi = np.nonzero(x.rows)
     keep = cells[xs]
@@ -168,13 +189,16 @@ def _contract(x: _OrderStack, v: _OrderStack, k: int, cells: np.ndarray):
             p = first[xs[e]] + off
             yield xs[e], np.hstack([x.tuples[xi[e]], v.tuples[vj[p]]]), xd[e] * vd[p]
         return
-    ia, ib, rest, weight = _contraction_pairs(x, v, k)
-    per_key = np.bincount(ia, minlength=len(x.tuples))
-    first = np.cumsum(per_key) - per_key
-    for e, off in _expand(per_key[xi], width):
-        p = first[xi[e]] + off
-        s = xs[e]
-        yield s, rest[p], x.rows[s, xi[e]] * v.rows[s, ib[p]] * weight[p]
+    for ia, ib, rest, weight in _contraction_pairs(x, v, k):
+        a0 = ia[0]
+        per_key = np.bincount(ia - a0)
+        first = np.cumsum(per_key) - per_key
+        mine = (xi >= a0) & (xi < a0 + len(per_key))
+        es, ei = xs[mine], xi[mine]
+        for e, off in _expand(per_key[ei - a0], width):
+            p = first[ei[e] - a0] + off
+            s = es[e]
+            yield s, rest[p], x.rows[s, ei[e]] * v.rows[s, ib[p]] * weight[p]
 
 
 def _random_cells(stacks: list[_OrderStack], t_cell: int) -> np.ndarray:
@@ -191,6 +215,43 @@ def _scalars(stacks: list[_OrderStack]) -> np.ndarray | None:
     return next((stack.rows for stack in stacks if stack.order == 0), None)
 
 
+def _cell_blocks(stacks: list[_OrderStack], both: np.ndarray):
+    """Blocks ``lo:hi`` of the cells, each small enough that the layered
+    rows it densifies (at the marked cells) hold about ``4 * _ENTRY_BLOCK``
+    floats (``2^20``; a float matrix holds no tuples); at least one cell per
+    block, one block without such rows."""
+    tops = []  # (order, top non-zero layer of each cell's row, -1 if none)
+    for stack in stacks:
+        if stack.layered and stack.order > 0:
+            live = both[:, None] & (stack.rows != 0.0)
+            hit = live.any(axis=1)
+            if hit.any():
+                top = stack.rows.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+                tops.append((stack.order, np.where(hit, top, -1).tolist()))
+    lo, t_cell = 0, len(both)
+    while lo < t_cell:
+        peak, hi = [-1] * len(tops), lo
+        while hi < t_cell:
+            new = [max(p, top[hi]) for p, (_, top) in zip(peak, tops)]
+            width = sum(math.comb(p + n, n) for p, (n, _) in zip(new, tops) if p >= 0)
+            if hi > lo and (hi + 1 - lo) * width > 4 * _ENTRY_BLOCK:
+                break
+            peak, hi = new, hi + 1
+        yield lo, hi
+        lo = hi
+
+
+def _sparse_rows(stack: _OrderStack, lo: int, hi: int, cells: np.ndarray) -> _OrderStack | None:
+    """The stack's rows ``lo:hi`` in sparse coordinates: layered rows are
+    densified at the marked cells of the block (None when none is
+    non-zero there)."""
+    block = stack.with_rows(stack.rows[lo:hi])
+    if not block.layered:
+        return block
+    hit = cells & block.rows.any(axis=1)
+    return block.densify(hit) if hit.any() else None
+
+
 def _products(xs: list[_OrderStack], vs: list[_OrderStack], t_cell: int, contract: bool):
     """The per-cell product of two processes given by their order stacks,
     one pass per (order, order, contraction order) over all cells.
@@ -199,39 +260,41 @@ def _products(xs: list[_OrderStack], vs: list[_OrderStack], t_cell: int, contrac
     in a factor's coordinates, or a block ``(cells, unsorted tuples, d)``.
     As in ``wick`` and ``pointwise``, a cell where one factor has no
     component above order 0 scales the other factor in its storage form;
-    elsewhere layered rows are densified and every term is sparse.
+    elsewhere layered rows are densified and every term is sparse.  The
+    densified rows are built for blocks of cells (``_cell_blocks``).
     """
     both = _random_cells(xs, t_cell) & _random_cells(vs, t_cell)
-
-    def split(stack):
-        """The stack as scaling parts, and its sparse form at the cells
-        where both factors are random (None when it has no row there)."""
-        if not stack.layered:
-            return stack, [stack], stack
-        hit = both & stack.rows.any(axis=1)
-        if not hit.any():
-            return stack, [stack], None
-        dense = stack.densify(hit)
-        kept = stack.rows.copy()
-        kept[both] = 0.0
-        return stack, [stack.with_rows(kept), dense], dense
-
     v0, x0 = _scalars(vs), _scalars(xs)
-    xs, vs = [split(x) for x in xs], [split(v) for v in vs]
-    for factor, stacks in ((v0, xs), (x0, [v for v in vs if v[0].order > 0])):
+    scaled = ((v0, xs), (x0, [v for v in vs if v.order > 0]))
+    for factor, stacks in scaled:
         if factor is not None:
-            for stack, parts, _ in stacks:
-                for part in parts:
-                    yield stack.order, part.with_rows(factor * part.rows)
+            for stack in stacks:
+                rows = factor * stack.rows
+                if stack.layered:
+                    rows[both] = 0.0
+                yield stack.order, stack.with_rows(rows)
     if not both.any():
         return
-    for x, _, gx in xs:
-        for v, _, gv in vs:
-            if x.order == 0 or v.order == 0 or gx is None or gv is None:
-                continue
-            for k in range(min(x.order, v.order) + 1 if contract else 1):
-                for block in _contract(gx, gv, k, both):
-                    yield x.order + v.order - 2 * k, block
+    for lo, hi in _cell_blocks(xs + vs, both):
+        cells = both[lo:hi]
+        gx = [_sparse_rows(x, lo, hi, cells) for x in xs]
+        gv = [_sparse_rows(v, lo, hi, cells) for v in vs]
+        for (factor, stacks), gs in zip(scaled, (gx, [g for g, v in zip(gv, vs) if v.order > 0])):
+            for stack, g in zip(stacks, gs):
+                if factor is not None and stack.layered and g is not None:
+                    step = max(1, _ENTRY_BLOCK // (g.rows.shape[1] * (stack.order + 1)))
+                    for r in range(0, hi - lo, step):
+                        s, j = np.nonzero(g.rows[r:r + step])
+                        s += r
+                        yield stack.order, (s + lo, g.tuples[j],
+                                            factor[s + lo, 0] * g.rows[s, j] * g.multiplicities()[j])
+        for x, g in zip(xs, gx):
+            for v, h in zip(vs, gv):
+                if x.order == 0 or v.order == 0 or g is None or h is None:
+                    continue
+                for k in range(min(x.order, v.order) + 1 if contract else 1):
+                    for s, tuples, d in _contract(g, h, k, cells):
+                        yield x.order + v.order - 2 * k, (s + lo, tuples, d)
 
 
 def _skorohod_step(grid: GridSpec, t_cell: int, parts) -> ChaosVector:

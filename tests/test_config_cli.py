@@ -244,9 +244,9 @@ SWEEP_VOLATILITIES = ["constant", "brownian", "wiener", "random"]
 OU = {"kind": "ou", "alpha": 1.0}
 TURBULENCE = {"kind": "turbulence", "alpha": 1.0, "nu": 0.8}
 FBM_ROUGH, FBM_SMOOTH = {"kind": "fbm", "H": 0.3}, {"kind": "fbm", "H": 0.7}
-# (cells, kernel): every kernel on 4 cells, and the singular rough kernel on
-# 8 cells, which keeps the sweep to a few seconds
-SWEEP_GRIDS = [(4, OU), (4, TURBULENCE), (4, FBM_ROUGH), (4, FBM_SMOOTH), (8, FBM_ROUGH)]
+# (cells, kernel): OU, turbulence and smooth fbm on 4 cells, the singular
+# rough fbm on 8 cells; the full cross product would take about 20 s
+SWEEP_GRIDS = [(4, OU), (4, TURBULENCE), (4, FBM_SMOOTH), (8, FBM_ROUGH)]
 
 
 def _sweep_spec(name: str, cells: int) -> dict:

@@ -30,6 +30,7 @@ from chaoscalc import (
 )
 from chaoscalc.kernels import TimeSlotSymKernel, kernel_from_json
 from chaoscalc.testing import random_chaos_process, random_chaos_vector, random_sym_kernel, rng_from
+from chaoscalc.volterra import _OrderStack
 
 from dense_ref import composed_integral
 
@@ -112,32 +113,84 @@ def test_stacked_integral_matches_per_cell_composition(name, M, mode):
 
 
 @pytest.mark.parametrize("mode", ["sigma", "wick"])
-def test_stacked_integral_across_block_boundaries(monkeypatch, mode):
-    """With a block budget of a few entries every product, Skorohod append
-    and reduction runs in many blocks and gives the same integral."""
+@pytest.mark.parametrize("integrand", ["sparse", "point mass"])
+def test_stacked_integral_across_block_boundaries(monkeypatch, integrand, mode):
+    """With a block budget of a few entries every product, pair structure,
+    densified layered stack, Skorohod append and reduction runs in many
+    blocks and gives the same integral."""
     integrate, product = MODES[mode]
     grid = make_grid(1.0, 8)
     rng = rng_from(77)
-    phi = random_chaos_process(grid, 3, rng, n_entries=3)
+    if integrand == "sparse":
+        phi = random_chaos_process(grid, 3, rng, n_entries=3)
+    else:
+        phi = donsker_process(grid, 1, grid.t_left(2))
     vol = mixed_volatility(grid, rng)
     kernel = OuKernel(alpha=1.3)
     whole = integrate(phi, vol, kernel).value
+    budget = 24
     blocks = Counter()
-    expand = stacked_mod._expand
+    expand, pairs, splits = stacked_mod._expand, stacked_mod._contraction_pairs, stacked_mod._splits
+    densify = _OrderStack.densify
 
     def counted(counts, width):
         for block in expand(counts, width):
-            blocks[width] += 1
-            assert len(block[0]) * width <= stacked_mod._ENTRY_BLOCK or len(set(block[0])) == 1
+            blocks["entries"] += 1
+            assert len(block[0]) * width <= budget or len(set(block[0])) == 1
             yield block
 
-    monkeypatch.setattr(stacked_mod, "_ENTRY_BLOCK", 24)
+    def counted_pairs(x, v, k):
+        for block in pairs(x, v, k):
+            blocks["pairs"] += 1
+            yield block
+
+    def counted_splits(tuples, k):
+        out = splits(tuples, k)
+        assert len(tuples) == 1 or out[1].size + out[2].size <= budget
+        return out
+
+    def counted_densify(stack, cells):
+        out = densify(stack, cells)
+        blocks["densified"] += 1
+        assert out.rows.size <= 4 * budget or len(out.rows) == 1
+        return out
+
+    monkeypatch.setattr(stacked_mod, "_ENTRY_BLOCK", budget)
     monkeypatch.setattr(stacked_mod, "_expand", counted)
+    monkeypatch.setattr(stacked_mod, "_contraction_pairs", counted_pairs)
+    monkeypatch.setattr(stacked_mod, "_splits", counted_splits)
+    monkeypatch.setattr(_OrderStack, "densify", counted_densify)
     blocked = integrate(phi, vol, kernel)
-    assert sum(blocks.values()) > 50
+    assert blocks["entries"] > 50
+    if mode == "sigma":
+        assert blocks["pairs"] > 10
+    if integrand == "point mass":  # whole, each of the two layered stacks densifies once
+        assert blocks["densified"] > 2
     assert per_order_error(blocked.value, whole) <= 1e-13
     want = composed_integral(phi, kernel, 1.0, product, vol)
     for g, w in zip((blocked.value, blocked.skorohod_part, blocked.drift_part), want):
+        assert per_order_error(g, w) <= 1e-12
+
+
+def test_stacked_integral_high_order_contraction_weights():
+    """An order-4 integrand under an order-21 volatility of distinct cells,
+    sharing one cell: the one-cell contraction weight holds
+    ``mult(a - c) * mult(b - c) = 3! * 20!``, which does not fit in int64."""
+    M = 24
+    grid = make_grid(1.0, M)
+    rng = rng_from(83)
+
+    def process(tup):
+        return ChaosProcess.from_values(grid, [
+            ChaosVector.from_kernel(SymKernel(len(tup), grid, {tup: float(rng.standard_normal())}))
+            for _ in range(M)])
+
+    phi, vol = process((0, 1, 2, 3)), process(tuple(range(3, M)))
+    kernel = OuKernel(alpha=1.0)
+    got = integrate_sigma(phi, vol, kernel, 1.0)
+    want = composed_integral(phi, kernel, 1.0, pointwise, vol)
+    assert got.value.max_order() == 4 + 21 + 1
+    for g, w in zip((got.value, got.skorohod_part, got.drift_part), want):
         assert per_order_error(g, w) <= 1e-12
 
 
