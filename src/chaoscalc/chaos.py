@@ -271,9 +271,6 @@ class ChaosProcess:
             self._values[j] = v
         return v
 
-    def map(self, op) -> "ChaosProcess":
-        return ChaosProcess(self.grid, fn=lambda j: op(self.at(j), j))
-
     def max_order(self) -> int:
         return max(self.at(j).max_order() for j in range(self.grid.cells))
 

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec
 from .kernels import LayeredKernel, SymKernel
-from .stacked import _integrate
-from .vmbv import _check_gate
-from .volterra import FbmKernel, OuKernel, _order_stacks, kernel_action
+from .vmbv import _integral
+from .volterra import FbmKernel, OuKernel
 
 
 def _check_aligned_time(grid: GridSpec, t: float, name: str) -> int:
@@ -158,17 +157,8 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
 
     if isinstance(lambdas, (int, float)):
         lambdas = [float(lambdas)]
-    # one kernel action, one set of order stacks, one set of diagnostic
-    # tables and one integral serve every weight index; each index is gated
-    # from the same tables
-    action = kernel_action(kernel, grid, t)
-    stacks = _order_stacks(proc, t_cell)
-    acted = action.act(stacks)
-    tables = action.tables(stacks, acted)
-    reports = [tables.report(lam) for lam in lambdas]
-    for report in reports:
-        _check_gate(report)
-    value = _integrate(grid, t_cell, acted)[0]
+    # one integral gates every weight index from the same diagnostic tables
+    value, _, _, reports, _, acted = _integral(proc, kernel, t, lambdas)
 
     rows = []
     a3_by_lambda = {}

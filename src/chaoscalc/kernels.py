@@ -28,7 +28,7 @@ distinct orderings of the tuple, i.e. the Lebesgue volume of the orbit.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterable
 
 import numpy as np
@@ -124,11 +124,6 @@ def unique_rows(tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuples[rank[new]], inverse
 
 
-def sub_multisets(tup: tuple[int, ...], k: int) -> set[tuple[int, ...]]:
-    """Distinct size-``k`` sub-multisets of a sorted tuple."""
-    return set(combinations(tup, k))
-
-
 def remove_once(tup: tuple[int, ...], values: Iterable[int]) -> tuple[int, ...]:
     """Remove one occurrence of each value in ``values`` from ``tup``."""
     out = list(tup)
@@ -137,12 +132,18 @@ def remove_once(tup: tuple[int, ...], values: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def merge_sorted(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b))
-
-
-def _count(tup: tuple[int, ...], v: int) -> int:
-    return tup.count(v)
+def _layered_tuples(order: int, live: np.ndarray) -> np.ndarray:
+    """The canonical tuples of a layered kernel's sparse form, given the mask
+    ``live`` of its non-zero layers: the ``(K, order)`` matrix of every
+    multiset of the cells up to the top live one, in lexicographic order.
+    Raises ``RepresentationLimitError`` when there are too many."""
+    nz = np.flatnonzero(live)
+    top = int(nz[-1]) if nz.size else -1
+    count = math.comb(top + order + 1, order) if nz.size else 0
+    if count > _DENSIFY_LIMIT:
+        raise RepresentationLimitError(f"layered kernel too large to densify ({count} multisets)")
+    tuples = np.array(list(combinations_with_replacement(range(top + 1), order)), dtype=np.int64)
+    return tuples.reshape(len(tuples), order)
 
 
 class SymKernel:
@@ -298,10 +299,10 @@ class SymKernel:
         denom = math.comb(n + m, n)
         for ta, ca in self.entries.items():
             for tb, cb in other.entries.items():
-                w = merge_sorted(ta, tb)
+                w = tuple(sorted(ta + tb))
                 weight = 1
                 for v in set(ta):
-                    weight *= math.comb(_count(w, v), _count(ta, v))
+                    weight *= math.comb(w.count(v), ta.count(v))
                 out[w] = out.get(w, 0.0) + ca * cb * weight / denom
         return SymKernel(n + m, self.grid, out)
 
@@ -319,18 +320,18 @@ class SymKernel:
         step_k = self.grid.step ** k
         denom = math.comb(n + m - 2 * k, n - k)
         for ta, ca in self.entries.items():
-            subs_a = sub_multisets(ta, k)
+            subs_a = set(combinations(ta, k))
             for tb, cb in other.entries.items():
                 for c_ms in subs_a:
-                    if any(_count(tb, v) < _count(c_ms, v) for v in set(c_ms)):
+                    if any(tb.count(v) < c_ms.count(v) for v in set(c_ms)):
                         continue
                     x = remove_once(ta, c_ms)
                     y = remove_once(tb, c_ms)
-                    w = merge_sorted(x, y)
+                    w = tuple(sorted(x + y))
                     weight = multiplicity(c_ms) * step_k
                     comb_w = 1
                     for v in set(x):
-                        comb_w *= math.comb(_count(w, v), _count(x, v))
+                        comb_w *= math.comb(w.count(v), x.count(v))
                     out[w] = out.get(w, 0.0) + ca * cb * weight * comb_w / denom
         return SymKernel(n + m - 2 * k, self.grid, out)
 
@@ -504,23 +505,8 @@ class LayeredKernel:
 
     def to_sparse(self) -> SymKernel:
         """Materialize as sparse canonical tuples.  Guarded by size."""
-        nz = np.nonzero(self.layers)[0]
-        if nz.size == 0:
-            return SymKernel(self.order, self.grid)
-        top = int(nz[-1])
-        n_multisets = math.comb(top + self.order + 1, self.order)
-        if n_multisets > _DENSIFY_LIMIT:
-            raise RepresentationLimitError(
-                f"layered kernel too large to densify ({n_multisets} multisets)"
-            )
-        ent: dict[tuple[int, ...], float] = {}
-        from itertools import combinations_with_replacement
-
-        for tup in combinations_with_replacement(range(top + 1), self.order):
-            v = self.layers[max(tup)]
-            if v != 0.0:
-                ent[tup] = float(v)
-        return SymKernel(self.order, self.grid, ent)
+        tuples = _layered_tuples(self.order, self.layers != 0.0)
+        return SymKernel.from_arrays(self.order, self.grid, tuples, self.layers[tuples[:, -1]])
 
     def to_json(self) -> dict:
         return {
@@ -686,8 +672,6 @@ class TimeSlotSymKernel:
 
     def to_sparse(self) -> SymKernel:
         """Materialize via explicit symmetrization.  Small orders only."""
-        from itertools import combinations_with_replacement
-
         M = self.grid.cells
         n_multisets = math.comb(M + self.order - 1, self.order)
         if n_multisets > _DENSIFY_LIMIT:

@@ -9,9 +9,11 @@ the diagonal derivative:
     value = skorohod(s -> product(action(t,s), vol(s)))
           + time_integral(s -> product(D_s action(t,s), vol(s))).
 
-The pipeline runs on order stacks, all cells of one chaos order at once
-(``stacked._integrate``); the per-cell operators of ``operators`` compute
-the same and serve the tests as its reference.
+One driver (``_integral``) runs the pipeline for every mode: a mode only
+picks the volatility gate, the product and whether strong independence is
+checked.  The pipeline runs on order stacks, all cells of one chaos order
+at once (``stacked._integrate``); the per-cell operators of ``operators``
+compute the same and serve the tests as its reference.
 
 The two independent consistency oracles (direct per-order kernel assembly,
 and the scalar transform identity) are implemented on their own code paths
@@ -33,7 +35,6 @@ from .operators import TestFunctionXi, derivative_at, s_transform
 from .stacked import _integrate
 from .volterra import (
     AssumptionReport,
-    DiagnosticTables,
     VolterraKernel,
     _order_stacks,
     _OrderStack,
@@ -67,38 +68,58 @@ def _sigma_process(grid: GridSpec, sigma) -> ChaosProcess:
     raise TypeError(f"volatility must be a process or vector, got {type(sigma).__name__}")
 
 
-def _check_gate(report: AssumptionReport):
-    bad = report.failing_assumption()
-    if bad is not None:
-        raise IntegrabilityError(bad, f"non-finite diagnostic at lambda={report.lam}")
+# mode -> (volatility gate, sign of its index, pointwise product, strong
+# independence checked)
+_MODES = {
+    "plain": (None, None, False, False),
+    "sigma": ("C(2)", 1.0, True, False),
+    "wick": ("D(10)", -1.0, False, False),
+    "strongind": ("D(10)", -1.0, True, True),
+}
 
 
-def _check_cap(phi: ChaosProcess, vol: ChaosProcess | None, cap: int | None):
-    """Raise when the integral's top order exceeds an explicit cap."""
-    if cap is None:
-        return
-    natural = phi.max_order() + (0 if vol is None else vol.max_order()) + 1
-    if natural > cap:
-        raise TruncationOverflowError(natural, cap)
+def _integral(phi: ChaosProcess, kernel: VolterraKernel, t: float, lambdas,
+              vol=None, mode: str = "plain", max_order: int | None = None):
+    """The one integral pipeline behind every mode.
 
-
-def _gate(tables: DiagnosticTables, lam: float) -> AssumptionReport:
-    report = tables.report(lam)
-    _check_gate(report)
-    return report
-
-
-def _integrate_gated(phi, kernel, t, product, vol, lam, max_order):
-    """Build the kernel action and the integrand's order stacks once, gate
-    the diagnostics at ``lam``, check the order cap and integrate."""
-    action = kernel_action(kernel, phi.grid, t)
-    stacks = _order_stacks(phi, action.t_cell)
+    Builds the kernel action and the order stacks of the integrand and of
+    the volatility (a process or a vector; None in plain mode) once, then
+    checks in one fixed order: strong independence (strongind only), the
+    volatility norm and the diagnostics at every weight index in
+    ``lambdas``, the order cap.  Returns the value, its Skorohod and drift
+    parts, one report per index, the extra diagnostics (the volatility norm
+    at the first index) and the acted stacks.
+    """
+    gate, sign, contract, independent = _MODES[mode]
+    grid = phi.grid
+    vol = None if vol is None else _sigma_process(grid, vol)
+    action = kernel_action(kernel, grid, t)
+    t_cell = action.t_cell
+    stacks = _order_stacks(phi, t_cell)
     acted = action.act(stacks)
-    report = _gate(action.tables(stacks, acted), lam)
-    _check_cap(phi, vol, max_order)
-    vols = None if product is None else _order_stacks(vol, action.t_cell)
-    value, skor, drift = _integrate(phi.grid, action.t_cell, acted, vols, product == "pointwise")
-    return value, skor, drift, report
+    vols = None if vol is None else _order_stacks(vol, t_cell)
+    if independent:
+        overlap = _support(acted, grid, t_cell) & _support(vols, grid, t_cell)
+        bad = np.flatnonzero(overlap.any(axis=1))
+        if bad.size:
+            s = int(bad[0])
+            raise IndependenceError(s, f"supports overlap at cell {int(np.flatnonzero(overlap[s])[0])}")
+    extra = {}
+    if gate is not None:
+        norms = [_volatility_gate(vol, t_cell, sign * lam, gate) for lam in lambdas]
+        extra = {gate: norms[0], "sigma_max_order": vol.max_order()}
+    tables = action.tables(stacks, acted)
+    reports = [tables.report(lam) for lam in lambdas]
+    for report in reports:
+        failing = report.failing_assumption()
+        if failing is not None:
+            raise IntegrabilityError(failing, f"non-finite diagnostic at lambda={report.lam}")
+    if max_order is not None:
+        natural = phi.max_order() + (0 if vol is None else vol.max_order()) + 1
+        if natural > max_order:
+            raise TruncationOverflowError(natural, max_order)
+    value, skor, drift = _integrate(grid, t_cell, acted, vols, contract)
+    return value, skor, drift, reports, extra, acted
 
 
 def _volatility_gate(vol: ChaosProcess, t_cell: int, index: float, assumption: str) -> float:
@@ -120,8 +141,8 @@ def integrate_plain(phi: ChaosProcess, kernel: VolterraKernel, t: float,
                     lam: float = 1.0, max_order: int | None = None) -> VmbvResult:
     """Integral with unit volatility: Skorohod of the kernel action plus the
     weak integral of its diagonal derivative."""
-    value, skor, drift, report = _integrate_gated(phi, kernel, t, None, None, lam, max_order)
-    return VmbvResult(value, skor, drift, report, {})
+    value, skor, drift, (report,), extra, _ = _integral(phi, kernel, t, [lam], max_order=max_order)
+    return VmbvResult(value, skor, drift, report, extra)
 
 
 def integrate_sigma(phi: ChaosProcess, sigma, kernel: VolterraKernel, t: float,
@@ -131,22 +152,14 @@ def integrate_sigma(phi: ChaosProcess, sigma, kernel: VolterraKernel, t: float,
     ``max_order`` defaults to integrand order + volatility order + 1; an
     explicit lower cap raises rather than silently truncating.
     """
-    grid = phi.grid
-    vol = _sigma_process(grid, sigma)
-    c2 = _volatility_gate(vol, grid.snap_down(t), lam, "C(2)")
-    value, skor, drift, report = _integrate_gated(phi, kernel, t, "pointwise", vol, lam, max_order)
-    extra = {"C(2)": c2, "sigma_max_order": vol.max_order()}
+    value, skor, drift, (report,), extra, _ = _integral(phi, kernel, t, [lam], sigma, "sigma", max_order)
     return VmbvResult(value, skor, drift, report, extra)
 
 
 def integrate_wick(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: float,
                    lam: float = 1.0, max_order: int | None = None) -> VmbvResult:
     """Integral with a generalized volatility entering through Wick products."""
-    grid = phi.grid
-    vol = _sigma_process(grid, Sigma)
-    d10 = _volatility_gate(vol, grid.snap_down(t), -lam, "D(10)")
-    value, skor, drift, report = _integrate_gated(phi, kernel, t, "wick", vol, lam, max_order)
-    extra = {"D(10)": d10, "sigma_max_order": vol.max_order()}
+    value, skor, drift, (report,), extra, _ = _integral(phi, kernel, t, [lam], Sigma, "wick", max_order)
     return VmbvResult(value, skor, drift, report, extra)
 
 
@@ -156,26 +169,12 @@ def integrate_strongind(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: flo
 
     The gate checks the kernel action against the volatility at every cell
     (the action mixes future integrand values into each cell, so integrand
-    support alone is not enough), then the diagnostics and D(10) as in
+    support alone is not enough), then D(10) and the diagnostics as in
     ``integrate_wick``.  Under the gate the result equals the Wick integral
     exactly; the tests assert that, nothing re-checks it at run time.
     """
-    grid = phi.grid
-    vol = _sigma_process(grid, Sigma)
-    action = kernel_action(kernel, grid, t)
-    stacks = _order_stacks(phi, action.t_cell)
-    acted = action.act(stacks)
-    vols = _order_stacks(vol, action.t_cell)
-    overlap = _support(acted, grid, action.t_cell) & _support(vols, grid, action.t_cell)
-    bad = np.flatnonzero(overlap.any(axis=1))
-    if bad.size:
-        s = int(bad[0])
-        raise IndependenceError(s, f"supports overlap at cell {int(np.flatnonzero(overlap[s])[0])}")
-    report = _gate(action.tables(stacks, acted), lam)
-    d10 = _volatility_gate(vol, action.t_cell, -lam, "D(10)")
-    _check_cap(phi, vol, max_order)
-    value, skor, drift = _integrate(grid, action.t_cell, acted, vols, contract=True)
-    extra = {"D(10)": d10, "sigma_max_order": vol.max_order()}
+    value, skor, drift, (report,), extra, _ = _integral(
+        phi, kernel, t, [lam], Sigma, "strongind", max_order)
     return VmbvResult(value, skor, drift, report, extra)
 
 

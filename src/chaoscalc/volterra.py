@@ -32,16 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
-from .errors import RepresentationLimitError
 from .grid import GridSpec
-from .kernels import _DENSIFY_LIMIT, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
+from .kernels import _layered_tuples, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
 
 _FBM_QUAD_RELTOL = 1e-9
 
@@ -387,16 +386,9 @@ class _OrderStack:
         other rows zero: every multiset up to the top non-zero layer, valued
         at its largest cell.  Raises ``RepresentationLimitError`` where
         ``LayeredKernel.to_sparse`` of one of those rows would."""
-        n = self.order
         rows = np.where(cells[:, None], self.rows, 0.0)
-        live = np.flatnonzero(rows.any(axis=0))
-        top = int(live[-1]) if live.size else -1
-        count = math.comb(top + n + 1, n) if live.size else 0
-        if count > _DENSIFY_LIMIT:
-            raise RepresentationLimitError(f"layered kernel too large to densify ({count} multisets)")
-        keys = np.array(list(combinations_with_replacement(range(top + 1), n)), dtype=np.int64)
-        keys = keys.reshape(len(keys), n)
-        return _OrderStack(self.grid, n, keys, rows[:, keys[:, -1]])
+        keys = _layered_tuples(self.order, rows.any(axis=0))
+        return _OrderStack(self.grid, self.order, keys, rows[:, keys[:, -1]])
 
     def derivative(self) -> "_OrderStack":
         """The stochastic derivative of each row at its own cell, one order
@@ -451,8 +443,8 @@ class KernelAction:
 
     The integrals work on order stacks (``_order_stacks``): ``act`` maps the
     integrand's stacks to those of ``K phi`` with one matmul per order, and
-    ``tables`` reads the diagnostics off the same stacks.  ``apply`` and
-    ``diagnostics`` are the per-process views of these two.
+    ``tables`` reads the diagnostics off the same stacks.  ``kg_apply`` and
+    ``assumption_report`` are the per-process views of these two.
     """
 
     grid: GridSpec
@@ -470,27 +462,10 @@ class KernelAction:
         """The order stacks of ``K phi`` from those of ``phi``."""
         return [stack.with_rows(self.matrix @ stack.rows) for stack in stacks]
 
-    def apply(self, phi: ChaosProcess) -> ChaosProcess:
-        """``K phi`` at every cell, one matmul per chaos order; cells at or
-        above ``t`` map to zero."""
-        grid = self.grid
-        comps: list[dict] = [{} for _ in range(self.t_cell)]
-        for stack in self.act(_order_stacks(phi, self.t_cell)):
-            for s in np.flatnonzero(stack.rows.any(axis=1)).tolist():
-                comps[s][stack.order] = stack.kernel(stack.rows[s])
-        values = [ChaosVector(grid, c) for c in comps]
-        values += [ChaosVector.zero(grid)] * (grid.cells - self.t_cell)
-        return ChaosProcess.from_values(grid, values)
-
-    def diagnostics(self, phi: ChaosProcess) -> "DiagnosticTables":
-        """Per-order, per-cell squared norms behind the integrability
-        conditions; no weight index enters."""
-        stacks = _order_stacks(phi, self.t_cell)
-        return self.tables(stacks, self.act(stacks))
-
     def tables(self, stacks: list[_OrderStack], acted: list[_OrderStack]) -> "DiagnosticTables":
-        """``diagnostics`` from the integrand's order stacks and their
-        images under ``act``."""
+        """Per-order, per-cell squared norms behind the integrability
+        conditions, from the integrand's order stacks and their images under
+        ``act``; no weight index enters."""
         t_cell = self.t_cell
         w = self.weights
         abs_w = np.abs(w)
@@ -543,9 +518,17 @@ def kg_apply(phi: ChaosProcess, k: VolterraKernel, t: float) -> ChaosProcess:
         value(s) = g(t, s) * phi(s) + sum_u w_u * (phi(u) - phi(s)),
 
     with ``w`` the exact Stieltjes cell weights over ``(s, t)``.  Cells at or
-    above ``t`` map to zero.
+    above ``t`` map to zero.  One matmul per chaos order.
     """
-    return kernel_action(k, phi.grid, t).apply(phi)
+    grid = phi.grid
+    action = kernel_action(k, grid, t)
+    comps: list[dict] = [{} for _ in range(action.t_cell)]
+    for stack in action.act(_order_stacks(phi, action.t_cell)):
+        for s in np.flatnonzero(stack.rows.any(axis=1)).tolist():
+            comps[s][stack.order] = stack.kernel(stack.rows[s])
+    values = [ChaosVector(grid, c) for c in comps]
+    values += [ChaosVector.zero(grid)] * (grid.cells - action.t_cell)
+    return ChaosProcess.from_values(grid, values)
 
 
 @dataclass(frozen=True)
@@ -632,4 +615,6 @@ class DiagnosticTables:
 
 def assumption_report(phi: ChaosProcess, k: VolterraKernel, lam: float, t: float) -> AssumptionReport:
     """Evaluate the integrability diagnostics at weight index ``-lam``."""
-    return kernel_action(k, phi.grid, t).diagnostics(phi).report(lam)
+    action = kernel_action(k, phi.grid, t)
+    stacks = _order_stacks(phi, action.t_cell)
+    return action.tables(stacks, action.act(stacks)).report(lam)

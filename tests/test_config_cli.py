@@ -3,11 +3,14 @@ determinism contract and exit codes."""
 
 import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chaoscalc
 from chaoscalc.cli import main
 from chaoscalc.config import ConfigError, parse_config
 
@@ -285,11 +288,15 @@ def test_cli_vmbv_sweep_exit_codes_and_rerun_bytes(tmp_path, integrand):
 
 
 def test_console_entry_point(tmp_path):
+    # the child process imports the package the tests imported
+    src = str(Path(chaoscalc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "chaoscalc.cli", "identity-suite", "--draws", "1",
          "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "identity-suite" in proc.stdout

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import chaoscalc.donsker as donsker_mod
 import chaoscalc.stacked as stacked_mod
 import chaoscalc.vmbv as vmbv_mod
 from chaoscalc import (
@@ -16,6 +17,7 @@ from chaoscalc import (
     ChaosVector,
     FbmKernel,
     IndependenceError,
+    IntegrabilityError,
     LayeredKernel,
     OuKernel,
     StabilityLawError,
@@ -23,6 +25,7 @@ from chaoscalc import (
     TestFunctionXi,
     TruncationOverflowError,
     chaos_formula_oracle,
+    donsker_vmbv_experiment,
     integrate_plain,
     integrate_sigma,
     integrate_strongind,
@@ -276,6 +279,44 @@ def test_strongind_rejects_overlap():
     sig = random_chaos_process(GRID, 2, rng, cells=[3, 4, 5])
     with pytest.raises(IndependenceError):
         integrate_strongind(proc, sig, UNIT_KERNEL, 1.0)
+
+
+def test_strongind_checks_the_volatility_norm_before_the_diagnostics():
+    """With disjoint supports, an overflowing integrand fails A(3) and an
+    overflowing volatility fails D(10); the one check order of every mode
+    (independence, volatility norm, diagnostics, order cap) names D(10)."""
+    rng = rng_from(241)
+    proc = random_chaos_process(GRID, 2, rng, cells=[0, 1, 2, 3], scale=1e200)
+    sig = random_chaos_process(GRID, 2, rng, cells=[4, 5, 6, 7], scale=1e200)
+    with pytest.raises(IntegrabilityError) as err:
+        integrate_strongind(proc, sig, OuKernel(alpha=1.0), 1.0)
+    assert err.value.assumption == "D(10)"
+
+
+def test_every_integral_runs_the_one_driver_once(monkeypatch):
+    calls = Counter()
+    driver = vmbv_mod._integral
+
+    def counted(phi, kernel, t, lambdas, vol=None, mode="plain", max_order=None):
+        calls[mode] += 1
+        return driver(phi, kernel, t, lambdas, vol, mode, max_order)
+
+    monkeypatch.setattr(vmbv_mod, "_integral", counted)
+    monkeypatch.setattr(donsker_mod, "_integral", counted)
+    rng = rng_from(243)
+    proc = random_chaos_process(GRID, 2, rng, cells=[0, 1, 2, 3])
+    sig = random_chaos_process(GRID, 1, rng, cells=[4, 5, 6, 7])
+    k = OuKernel(alpha=1.0)
+    for integrate, mode in ((integrate_sigma, "sigma"), (integrate_wick, "wick"),
+                            (integrate_strongind, "strongind")):
+        integrate(proc, sig, k, 1.0)
+        assert calls == {mode: 1}, mode
+        calls.clear()
+    integrate_plain(proc, k, 1.0)
+    assert calls == {"plain": 1}
+    calls.clear()
+    donsker_vmbv_experiment(1.0, 0.25, 1.0, 3, [0.5, 1.0], GRID)
+    assert calls == {"plain": 1}
 
 
 def test_strongind_deterministic_volatility_always_passes():
