@@ -40,7 +40,9 @@ def order_weighted_sum(orders, values, lam: float):
     orders = orders[rank]
     rows = (values if table else values[:, None])[rank]
     live = rows.any(axis=1)
-    weights = [math.factorial(n) * math.exp(2.0 * lam * n) if alive and n <= _LOG_GUARD_ORDER else 0.0
+    # 2.0 * (lam * n): order 0 gets weight 1 at every finite lam, where
+    # (2.0 * lam) * n would be inf * 0 once 2.0 * lam overflows
+    weights = [math.factorial(n) * math.exp(2.0 * (lam * n)) if alive and n <= _LOG_GUARD_ORDER else 0.0
                for n, alive in zip(orders.tolist(), live.tolist())]
     with np.errstate(invalid="ignore"):  # inf * 0, zeroed below
         terms = np.array(weights)[:, None] * rows
@@ -48,7 +50,7 @@ def order_weighted_sum(orders, values, lam: float):
     if big.any():
         n, v = orders[big], rows[big]
         with np.errstate(divide="ignore", over="raise"):
-            log_terms = (gammaln(n + 1) + 2.0 * lam * n)[:, None] + np.log(np.abs(v))
+            log_terms = (gammaln(n + 1) + 2.0 * (lam * n))[:, None] + np.log(np.abs(v))
             terms[big] = np.copysign(np.exp(log_terms), v)
     terms[rows == 0.0] = 0.0
     # the running sum adds the orders one after another in every column

@@ -15,6 +15,7 @@ process on the configured grid:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .chaos import ChaosProcess, ChaosVector
@@ -196,6 +197,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     lambdas = tuple(float(x) for x in obj["lambdas"])
     if not lambdas:
         raise ConfigError("lambdas must be non-empty")
+    if not all(math.isfinite(lam) for lam in lambdas):
+        raise ConfigError(f"lambdas must be finite, got {list(lambdas)}")
     truncation = obj.get("truncation")
     if truncation is not None:
         truncation = int(truncation)

@@ -243,8 +243,7 @@ class SymKernel:
         return SymKernel(self.order, self.grid, {t: a * c for t, c in self.entries.items()})
 
     def add(self, other) -> "SymKernel":
-        if isinstance(other, LayeredKernel):
-            other = other.to_sparse()
+        other = other.to_sparse()
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
         same_grid(self.grid, other.grid)
@@ -290,45 +289,37 @@ class SymKernel:
         return SymKernel(self.order - 1, self.grid, out)
 
     def tensor_sym(self, other) -> "SymKernel":
-        """Symmetrized tensor product with another kernel."""
-        if isinstance(other, LayeredKernel):
-            other = other.to_sparse()
-        same_grid(self.grid, other.grid)
-        n, m = self.order, other.order
-        out: dict[tuple[int, ...], float] = {}
-        denom = math.comb(n + m, n)
-        for ta, ca in self.entries.items():
-            for tb, cb in other.entries.items():
-                w = tuple(sorted(ta + tb))
-                weight = 1
-                for v in set(ta):
-                    weight *= math.comb(w.count(v), ta.count(v))
-                out[w] = out.get(w, 0.0) + ca * cb * weight / denom
-        return SymKernel(n + m, self.grid, out)
+        """Symmetrized tensor product with another kernel: the contraction
+        of no slot pairs."""
+        return self.contract_sym(other, 0)
 
     def contract_sym(self, other, k: int) -> "SymKernel":
-        """Contract ``k`` slot pairs (step-weighted sums), then symmetrize."""
-        if isinstance(other, LayeredKernel):
-            other = other.to_sparse()
+        """Contract ``k`` slot pairs (step-weighted sums), then symmetrize.
+
+        The one product loop over pairs of entries.  Each left tuple is split
+        once into its ``k``-sub-multisets, the rest and the weight
+        ``multiplicity(sub) * step**k``; at ``k = 0`` the split is the tuple
+        itself with weight 1."""
+        other = other.to_sparse()
         same_grid(self.grid, other.grid)
         n, m = self.order, other.order
         if k < 0 or k > min(n, m):
             raise ValueError(f"cannot contract {k} slots of orders {n}, {m}")
-        if k == 0:
-            return self.tensor_sym(other)
         out: dict[tuple[int, ...], float] = {}
         step_k = self.grid.step ** k
         denom = math.comb(n + m - 2 * k, n - k)
         for ta, ca in self.entries.items():
-            subs_a = set(combinations(ta, k))
+            splits = [((), ta, 1.0)] if k == 0 else [
+                (c_ms, remove_once(ta, c_ms), multiplicity(c_ms) * step_k)
+                for c_ms in set(combinations(ta, k))]
             for tb, cb in other.entries.items():
-                for c_ms in subs_a:
-                    if any(tb.count(v) < c_ms.count(v) for v in set(c_ms)):
-                        continue
-                    x = remove_once(ta, c_ms)
-                    y = remove_once(tb, c_ms)
+                for c_ms, x, weight in splits:
+                    y = tb
+                    if c_ms:
+                        if any(tb.count(v) < c_ms.count(v) for v in set(c_ms)):
+                            continue
+                        y = remove_once(tb, c_ms)
                     w = tuple(sorted(x + y))
-                    weight = multiplicity(c_ms) * step_k
                     comb_w = 1
                     for v in set(x):
                         comb_w *= math.comb(w.count(v), x.count(v))
@@ -447,10 +438,6 @@ class LayeredKernel:
         layers[:n_cells] = value
         return LayeredKernel(order, grid, layers)
 
-    def max_layer_weights(self, order: int | None = None) -> np.ndarray:
-        """Lebesgue volume of the region {max cell index == r} at this order."""
-        return layer_weights(self.grid, self.order if order is None else order)
-
     def is_zero(self) -> bool:
         return not self.layers.any()
 
@@ -463,7 +450,11 @@ class LayeredKernel:
     def scale(self, a: float) -> "LayeredKernel":
         return LayeredKernel(self.order, self.grid, a * self.layers)
 
-    def add(self, other) -> "LayeredKernel":
+    def add(self, other) -> "LayeredKernel | SymKernel | TimeSlotSymKernel":
+        """Sum in the storage form that holds both addends: layered, the
+        time-slot form for a time-slot addend, sparse for a sparse one."""
+        if isinstance(other, TimeSlotSymKernel):
+            return other.add(self)
         if isinstance(other, SymKernel):
             return self.to_sparse().add(other)
         if self.order != other.order:
@@ -472,14 +463,14 @@ class LayeredKernel:
         return LayeredKernel(self.order, self.grid, self.layers + other.layers)
 
     def norm_sq(self) -> float:
-        return float(np.dot(self.max_layer_weights(), self.layers ** 2))
+        return float(np.dot(layer_weights(self.grid, self.order), self.layers ** 2))
 
     def inner(self, other) -> float:
         if isinstance(other, LayeredKernel):
             if self.order != other.order:
                 raise ValueError(f"order mismatch: {self.order} vs {other.order}")
             same_grid(self.grid, other.grid)
-            return float(np.dot(self.max_layer_weights(), self.layers * other.layers))
+            return float(np.dot(layer_weights(self.grid, self.order), self.layers * other.layers))
         if isinstance(other, SymKernel):
             if self.order != other.order:
                 raise ValueError(f"order mismatch: {self.order} vs {other.order}")
@@ -488,6 +479,8 @@ class LayeredKernel:
             return w * sum(
                 multiplicity(t) * c * self.layers[max(t)] for t, c in other.entries.items()
             )
+        if isinstance(other, TimeSlotSymKernel):
+            return other.inner(self)
         raise TypeError(f"cannot pair LayeredKernel with {type(other).__name__}")
 
     def slice_at(self, cell: int) -> "LayeredKernel | SymKernel":
@@ -572,7 +565,7 @@ class TimeSlotSymKernel:
         extra = None if self.extra is None else a * self.extra
         return TimeSlotSymKernel(self.order, self.grid, a * self.phi, extra)
 
-    def add(self, other) -> "TimeSlotSymKernel":
+    def add(self, other) -> "TimeSlotSymKernel | SymKernel":
         if isinstance(other, TimeSlotSymKernel):
             if self.order != other.order:
                 raise ValueError(f"order mismatch: {self.order} vs {other.order}")
@@ -587,6 +580,8 @@ class TimeSlotSymKernel:
             same_grid(self.grid, other.grid)
             extra = other.layers if self.extra is None else self.extra + other.layers
             return TimeSlotSymKernel(self.order, self.grid, self.phi.copy(), extra)
+        if isinstance(other, SymKernel):
+            return self.to_sparse().add(other)
         raise TypeError(f"cannot add {type(other).__name__} to TimeSlotSymKernel")
 
     def _gg_inner(self, other: "TimeSlotSymKernel") -> float:

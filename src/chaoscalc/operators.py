@@ -173,26 +173,38 @@ def _deterministic_product(phi: ChaosVector, psi: ChaosVector, max_order: int | 
     return None
 
 
-def wick(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) -> ChaosVector:
-    """Wick product: chaos-order convolution of symmetrized tensor products."""
+def _product(phi: ChaosVector, psi: ChaosVector, max_order: int | None, contract: bool) -> ChaosVector:
+    """Sum over order pairs ``(n, m)`` and contraction orders ``k`` of
+    ``k! C(n, k) C(m, k)`` times the ``k``-contraction (the product formula
+    for multiple integrals): all ``k`` when ``contract``, else only ``k = 0``,
+    where the coefficient is 1.  Each factor is densified once per order
+    pair; ``max_order`` drops output orders and never approximates a term."""
     same_grid(phi.grid, psi.grid)
     scaled = _deterministic_product(phi, psi, max_order)
     if scaled is not None:
         return scaled
     comps: dict[int, SymKernel] = {}
     for n, ka in phi.components.items():
+        ka = ka.to_sparse()
         for m, kb in psi.components.items():
-            out_order = n + m
-            if max_order is not None and out_order > max_order:
-                continue
-            prod = ka.to_sparse().tensor_sym(kb)
-            if prod.is_zero():
-                continue
-            if out_order in comps:
-                comps[out_order] = comps[out_order].add(prod)
-            else:
-                comps[out_order] = prod
+            kb = kb.to_sparse()
+            for k in range(min(n, m) + 1 if contract else 1):
+                out_order = n + m - 2 * k
+                if max_order is not None and out_order > max_order:
+                    continue
+                prod = ka.contract_sym(kb, k)
+                if k:
+                    prod = prod.scale(float(math.factorial(k) * math.comb(m, k) * math.comb(n, k)))
+                if prod.is_zero():
+                    continue
+                comps[out_order] = comps[out_order].add(prod) if out_order in comps else prod
     return ChaosVector(phi.grid, {n: k for n, k in comps.items() if not k.is_zero()})
+
+
+def wick(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) -> ChaosVector:
+    """Wick product: chaos-order convolution of symmetrized tensor products,
+    the zero-contraction term of ``pointwise``."""
+    return _product(phi, psi, max_order, contract=False)
 
 
 def pointwise(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) -> ChaosVector:
@@ -203,28 +215,7 @@ def pointwise(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) 
     contraction sums themselves.  With disjoint kernel supports only the
     zero-contraction term survives and the result equals the Wick product.
     """
-    same_grid(phi.grid, psi.grid)
-    scaled = _deterministic_product(phi, psi, max_order)
-    if scaled is not None:
-        return scaled
-    comps: dict[int, SymKernel] = {}
-    for n, ka in phi.components.items():
-        ka = ka.to_sparse()
-        for m, kb in psi.components.items():
-            kb = kb.to_sparse()
-            for k in range(min(n, m) + 1):
-                out_order = n + m - 2 * k
-                if max_order is not None and out_order > max_order:
-                    continue
-                coeff = math.factorial(k) * math.comb(m, k) * math.comb(n, k)
-                prod = ka.contract_sym(kb, k).scale(float(coeff))
-                if prod.is_zero():
-                    continue
-                if out_order in comps:
-                    comps[out_order] = comps[out_order].add(prod)
-                else:
-                    comps[out_order] = prod
-    return ChaosVector(phi.grid, {n: k for n, k in comps.items() if not k.is_zero()})
+    return _product(phi, psi, max_order, contract=True)
 
 
 def s_transform(phi: ChaosVector, xi: TestFunctionXi) -> float:

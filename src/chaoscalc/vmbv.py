@@ -83,7 +83,7 @@ def _integral(phi: ChaosProcess, kernel: VolterraKernel, t: float, lambdas,
     """The one integral pipeline behind every mode.
 
     Builds the kernel action and the order stacks of the integrand and of
-    the volatility (a process or a vector; None in plain mode) once, then
+    the volatility (a process or a vector; ignored in plain mode) once, then
     checks in one fixed order: strong independence (strongind only), the
     volatility norm and the diagnostics at every weight index in
     ``lambdas``, the order cap.  Returns the value, its Skorohod and drift
@@ -92,7 +92,7 @@ def _integral(phi: ChaosProcess, kernel: VolterraKernel, t: float, lambdas,
     """
     gate, sign, contract, independent = _MODES[mode]
     grid = phi.grid
-    vol = None if vol is None else _sigma_process(grid, vol)
+    vol = None if gate is None else _sigma_process(grid, vol)
     action = kernel_action(kernel, grid, t)
     t_cell = action.t_cell
     stacks = _order_stacks(phi, t_cell)
@@ -356,11 +356,7 @@ def stability_suite(phi: ChaosProcess, psi: ChaosProcess, kernel: VolterraKernel
     norm_index = -lam - eps if variant != "wick" else -lam - 0.5 - eps
 
     def run(proc: ChaosProcess) -> ChaosVector:
-        if variant == "plain":
-            return integrate_plain(proc, kernel, t, lam=lam).value
-        if variant == "sigma":
-            return integrate_sigma(proc, vol, kernel, t, lam=lam).value
-        return integrate_wick(proc, vol, kernel, t, lam=lam).value
+        return _integral(proc, kernel, t, [lam], vol, variant)[0]
 
     base = run(phi)
     pert_norm = run(psi).gnorm(norm_index)

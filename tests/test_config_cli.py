@@ -3,6 +3,7 @@ determinism contract and exit codes."""
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -234,6 +235,25 @@ def test_cli_representation_limit_exit_code(tmp_path, capsys, mode):
     )))
     assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
     assert "too large to densify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_cli_non_finite_lambda_is_config_error(tmp_path, capsys, lam):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg_with(lambdas=[lam])))
+    assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "lambdas must be finite" in capsys.readouterr().err
+
+
+def test_cli_huge_lambda_writes_finite_norms(tmp_path):
+    """At lambda = 1e308 the order-0 weight stays 1 although 2 * lambda
+    overflows: the deterministic drift part has a finite norm."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg_with(integrand={"builder": "brownian"}, lambdas=[1e308])))
+    assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    norms = json.loads((tmp_path / "result.json").read_text())["result"]["norms"]["1e+308"]
+    assert norms["drift_part"] > 0.0
+    assert all(math.isfinite(v) for v in norms.values())
 
 
 SWEEP_BUILDERS = {

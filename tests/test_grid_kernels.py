@@ -26,9 +26,9 @@ from chaoscalc import (
     truncate,
 )
 from chaoscalc.chaos import order_weighted_sum
-from chaoscalc.testing import random_chaos_vector, rng_from
+from chaoscalc.testing import random_chaos_vector, random_sym_kernel, rng_from
 
-from dense_ref import dense_from_kernel, dense_norm_sq, order_weighted_sum_scalar
+from dense_ref import dense_from_kernel, dense_inner, dense_norm_sq, order_weighted_sum_scalar
 
 
 def test_make_grid_basic():
@@ -362,3 +362,33 @@ def test_densify_limit_raises_representation_limit_error():
         LayeredKernel.prefix_constant(12, g, 1.0, 32).to_sparse()
     with pytest.raises(RepresentationLimitError):
         TimeSlotSymKernel(6, g, np.ones((32, 32))).to_sparse()
+
+
+STORAGE_FORMS = {
+    "sparse": lambda g, rng: random_sym_kernel(g, 3, rng, n_entries=5),
+    "layered": lambda g, rng: LayeredKernel(3, g, rng.standard_normal(g.cells)),
+    "timeslot": lambda g, rng: TimeSlotSymKernel(3, g, rng.standard_normal((g.cells, g.cells)),
+                                                 rng.standard_normal(g.cells)),
+}
+
+
+@pytest.mark.parametrize("right", sorted(STORAGE_FORMS))
+@pytest.mark.parametrize("left", sorted(STORAGE_FORMS))
+def test_add_and_inner_for_every_pair_of_storage_forms(left, right):
+    """Equal forms add in their form, a layered and a time-slot kernel in
+    the time-slot form, every other mixed pair in sparse form; the sums and
+    inner products match the dense tensors, also through the vectors."""
+    g = make_grid(1.0, 4)
+    a = STORAGE_FORMS[left](g, rng_from(401))
+    b = STORAGE_FORMS[right](g, rng_from(402))
+    da, db = dense_from_kernel(a), dense_from_kernel(b)
+    forms = {left, right}
+    want_type = type(a) if len(forms) == 1 else (
+        TimeSlotSymKernel if forms == {"layered", "timeslot"} else SymKernel)
+    total = a.add(b)
+    assert type(total) is want_type
+    np.testing.assert_allclose(dense_from_kernel(total), da + db, rtol=0.0, atol=1e-12)
+    assert a.inner(b) == pytest.approx(dense_inner(g, da, db), rel=1e-11)
+    va, vb = ChaosVector.from_kernel(a), ChaosVector.from_kernel(b)
+    np.testing.assert_allclose(dense_from_kernel(va.add(vb).component(3)), da + db, rtol=0.0, atol=1e-12)
+    assert pairing(va, vb) == pytest.approx(math.factorial(3) * dense_inner(g, da, db), rel=1e-11)

@@ -25,7 +25,7 @@ from chaoscalc import (
     sym_store,
     wick,
 )
-from chaoscalc.kernels import LayeredKernel
+from chaoscalc.kernels import LayeredKernel, TimeSlotSymKernel
 from chaoscalc.testing import random_chaos_process, random_chaos_vector, random_sym_kernel, rng_from
 
 from dense_ref import (
@@ -377,6 +377,44 @@ def test_pointwise_equals_wick_on_disjoint_supports():
         a = random_chaos_vector(GRID, 2, rng, cells=[0, 1])
         b = random_chaos_vector(GRID, 2, rng, cells=[2, 3])
         assert rel_error(pointwise(a, b), wick(a, b)) < 1e-14
+
+
+def _storage_form_vectors(rng) -> dict[str, ChaosVector]:
+    """One random vector per storage form on ``GRID``, orders up to 3."""
+    M = GRID.cells
+    return {
+        "sparse": random_chaos_vector(GRID, 3, rng, n_entries=3),
+        "layered": ChaosVector(GRID, {1: LayeredKernel(1, GRID, rng.standard_normal(M)),
+                                      3: LayeredKernel(3, GRID, rng.standard_normal(M))}),
+        "timeslot": ChaosVector(GRID, {
+            0: SymKernel.scalar(GRID, 0.5),
+            2: TimeSlotSymKernel(2, GRID, rng.standard_normal((M, M))),
+            3: TimeSlotSymKernel(3, GRID, rng.standard_normal((M, M)), rng.standard_normal(M)),
+        }),
+    }
+
+
+STORAGE_FORMS = ["sparse", "layered", "timeslot"]
+
+
+@pytest.mark.parametrize("right", STORAGE_FORMS)
+@pytest.mark.parametrize("left", STORAGE_FORMS)
+def test_products_of_every_storage_form_match_dense(left, right):
+    """Both products densify either factor, whatever its storage form."""
+    x = _storage_form_vectors(rng_from(301))[left]
+    y = _storage_form_vectors(rng_from(302))[right]
+    for product, dense_product in ((wick, dense_wick), (pointwise, dense_pointwise)):
+        got = dense_vector(product(x, y), n_max=6)
+        want = dense_product(GRID, dense_vector(x), dense_vector(y))
+        assert compare_dense(GRID, got, want) < 1e-11, product.__name__
+
+
+def test_wick_of_brownian_and_time_slot_vector():
+    rng = rng_from(303)
+    b = ChaosVector.brownian_at(GRID, 0.5)
+    slot = ChaosVector(GRID, {2: TimeSlotSymKernel(2, GRID, rng.standard_normal((GRID.cells, GRID.cells)))})
+    got = dense_vector(wick(b, slot))
+    assert compare_dense(GRID, got, dense_wick(GRID, dense_vector(b), dense_vector(slot))) < 1e-12
 
 
 def test_product_truncation_cap():

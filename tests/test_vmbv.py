@@ -319,6 +319,18 @@ def test_every_integral_runs_the_one_driver_once(monkeypatch):
     assert calls == {"plain": 1}
 
 
+def test_missing_volatility_is_a_type_error():
+    """A mode with a volatility gate needs a volatility; None is rejected
+    before any gate runs."""
+    proc = random_chaos_process(GRID, 1, rng_from(244))
+    k = OuKernel(alpha=1.0)
+    for integrate in (integrate_sigma, integrate_wick, integrate_strongind):
+        with pytest.raises(TypeError, match="volatility must be a process or vector"):
+            integrate(proc, None, k, 1.0)
+    with pytest.raises(TypeError, match="volatility must be a process or vector"):
+        stability_suite(proc, proc, k, 1.0, lam=0.5, n_max=1, variant="sigma")
+
+
 def test_strongind_deterministic_volatility_always_passes():
     rng = rng_from(233)
     proc = random_chaos_process(GRID, 2, rng)
@@ -414,17 +426,16 @@ def test_stability_violation_raises_typed_error(monkeypatch):
     phi = random_chaos_process(GRID, 2, rng)
     psi = random_chaos_process(GRID, 2, rng)
     runs = []
-    integrate = vmbv_mod.integrate_plain
+    integral = vmbv_mod._integral
 
-    def shifted(proc, kernel, t, lam=1.0, max_order=None):
-        res = integrate(proc, kernel, t, lam=lam, max_order=max_order)
-        runs.append(res.value)
+    def shifted(proc, *args):
+        value, *rest = integral(proc, *args)
+        runs.append(value)
         if len(runs) <= 2:
-            return res
-        return vmbv_mod.VmbvResult(res.value.add(ChaosVector.deterministic(GRID, 0.5)),
-                                   res.skorohod_part, res.drift_part, res.diagnostics, {})
+            return (value, *rest)
+        return (value.add(ChaosVector.deterministic(GRID, 0.5)), *rest)
 
-    monkeypatch.setattr(vmbv_mod, "integrate_plain", shifted)
+    monkeypatch.setattr(vmbv_mod, "_integral", shifted)
     with pytest.raises(StabilityLawError) as info:
         stability_suite(phi, psi, k, 1.0, lam=0.5, n_max=4)
     err = info.value
