@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .grid import GridSpec, same_grid
 from .kernels import SymKernel, kernel_from_json
@@ -20,6 +19,16 @@ from .kernels import SymKernel, kernel_from_json
 # Orders above this use log-space weights exp(lgamma(n+1) + 2*lambda*n) to
 # dodge overflow of n! * e^{2 lambda n} before the tiny kernel norm cancels it.
 _LOG_GUARD_ORDER = 30
+
+
+def _weight(n: int, lam: float) -> float:
+    """``n! e^{2 lam n}``, ``inf`` where it overflows a float."""
+    # 2.0 * (lam * n): order 0 gets weight 1 at every finite lam, where
+    # (2.0 * lam) * n would be inf * 0 once 2.0 * lam overflows
+    try:
+        return math.factorial(n) * math.exp(2.0 * (lam * n))
+    except OverflowError:
+        return math.inf
 
 
 def order_weighted_sum(orders, values, lam: float):
@@ -32,6 +41,10 @@ def order_weighted_sum(orders, values, lam: float):
     come in, so equal per-order values give equal bits.  A zero value
     contributes exactly 0, and orders above ``_LOG_GUARD_ORDER`` are weighted
     in log space, so a weight never overflows into ``inf * 0``.
+
+    Raises ``OverflowError`` naming the order and ``lam`` when a finite
+    value has a weighted term that is not finite; a value that is itself
+    infinite or NaN passes through to the caller's gates.
     """
     orders = np.asarray(orders, dtype=np.int64)
     values = np.asarray(values, dtype=float)
@@ -40,21 +53,24 @@ def order_weighted_sum(orders, values, lam: float):
     orders = orders[rank]
     rows = (values if table else values[:, None])[rank]
     live = rows.any(axis=1)
-    # 2.0 * (lam * n): order 0 gets weight 1 at every finite lam, where
-    # (2.0 * lam) * n would be inf * 0 once 2.0 * lam overflows
-    weights = [math.factorial(n) * math.exp(2.0 * (lam * n)) if alive and n <= _LOG_GUARD_ORDER else 0.0
+    weights = [_weight(n, lam) if alive and n <= _LOG_GUARD_ORDER else 0.0
                for n, alive in zip(orders.tolist(), live.tolist())]
-    with np.errstate(invalid="ignore"):  # inf * 0, zeroed below
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, zeroed below
         terms = np.array(weights)[:, None] * rows
     big = live & (orders > _LOG_GUARD_ORDER)
     if big.any():
         n, v = orders[big], rows[big]
-        with np.errstate(divide="ignore", over="raise"):
-            log_terms = (gammaln(n + 1) + 2.0 * (lam * n))[:, None] + np.log(np.abs(v))
+        log_n_fact = np.array([math.lgamma(k + 1) for k in n.tolist()])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_terms = (log_n_fact + 2.0 * (lam * n))[:, None] + np.log(np.abs(v))
             terms[big] = np.copysign(np.exp(log_terms), v)
     terms[rows == 0.0] = 0.0
     # the running sum adds the orders one after another in every column
     total = np.cumsum(terms, axis=0)[-1] if len(orders) else np.zeros(rows.shape[1])
+    if not np.isfinite(total).all():  # a term that is not finite leaves its column's sum so
+        overflow = (np.isfinite(rows) & ~np.isfinite(terms)).any(axis=1)
+        if overflow.any():
+            raise OverflowError(f"weighted term of order {orders[overflow][0]} overflows at lam={lam}")
     return total if table else float(total[0])
 
 

@@ -30,19 +30,21 @@ contraction with the order weights ``n! e^{-2 lam n}``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
 from .grid import GridSpec
 from .kernels import _layered_tuples, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
 
-_FBM_QUAD_RELTOL = 1e-9
+# Nodes per panel of the rough kernel's composite Gauss rule.  Every panel
+# lies at least its own width away from the singularity at u = 0, so each
+# converges like 5.8^(-2n): 24 nodes are far below roundoff.
+_GAUSS_NODES = 24
 
 
 class VolterraKernel:
@@ -131,7 +133,53 @@ class TurbulenceKernel(VolterraKernel):
 
 
 def _fbm_c(H: float) -> float:
-    return math.sqrt(2.0 * H * gamma_fn(1.5 - H)) / math.sqrt(gamma_fn(H + 0.5) * gamma_fn(2.0 - 2.0 * H))
+    return math.sqrt(2.0 * H * math.gamma(1.5 - H)) / math.sqrt(math.gamma(H + 0.5) * math.gamma(2.0 - 2.0 * H))
+
+
+@functools.cache
+def _gauss_jacobi(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_GAUSS_NODES``-point Gauss rule for
+    ``int_0^1 x^beta f(x) dx`` (``beta > -1``; ``beta = 0`` is Gauss-Legendre).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic Jacobi polynomials for the weight ``(1 + y)^beta`` on ``[-1, 1]``,
+    and the weights are the squared first eigenvector components times the
+    weight's mass; both are then mapped to ``[0, 1]``.  Read-only arrays,
+    built once per exponent.
+    """
+    n = np.arange(1, _GAUSS_NODES, dtype=float)
+    k = 2.0 * n + beta
+    diag = np.concatenate(([beta / (beta + 2.0)], beta * beta / (k * (k + 2.0))))
+    off = np.sqrt(4.0 * n * n * (n + beta) ** 2 / (k * k * (k + 1.0) * (k - 1.0)))
+    y, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # mass of (1 + y)^beta on [-1, 1] is 2^(beta+1) / (beta+1); x = (1 + y) / 2
+    # scales it by 2^-(beta+1)
+    x, w = 0.5 * (1.0 + y), vecs[0] ** 2 / (beta + 1.0)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _rough_integral(span: float, s: float, beta: float, smooth) -> float:
+    """``int_0^span d^beta smooth(d) dd`` where ``smooth`` is analytic on
+    ``[0, span]`` and singular at ``d = -s``.
+
+    A Gauss-Jacobi panel ``[0, L]``, ``L = min(span, s)``, carries the
+    endpoint power; Gauss-Legendre panels ``[L, 3L], [3L, 7L], ...`` of
+    doubling width cover the rest, the last one cut at ``span``.
+    """
+    x, w = _gauss_jacobi(beta)
+    width = min(span, s)
+    total = width ** (beta + 1.0) * float(np.dot(w, smooth(width * x)))
+    edges = [width]
+    while edges[-1] < span:
+        edges.append(min(2.0 * edges[-1] + width, span))
+    if len(edges) > 1:
+        x, w = _gauss_jacobi(0.0)
+        lo, size = np.array(edges[:-1]), np.diff(edges)
+        d = lo[:, None] + size[:, None] * x
+        total += float(np.dot(size, (d ** beta * smooth(d)) @ w))
+    return total
 
 
 @dataclass(frozen=True)
@@ -141,8 +189,18 @@ class FbmKernel(VolterraKernel):
     For H > 1/2 the two defining terms cancel analytically into the single
     integral ``c(H) (H - 1/2) s^{1/2-H} int_s^t u^{H-1/2} (u-s)^{H-3/2} du``,
     which is what gets evaluated (better conditioned).  For H < 1/2 the
-    two-term form is used directly; the endpoint power singularity is removed
-    by the substitution ``u = s + v^2`` before quadrature.
+    two-term form ``c(H) ((t-s)^{H-1/2} + (1/2-H) int_s^t (u-s)^{H-1/2} q(u) du)``
+    is used, with the smooth factor ``q(u) = (1 - (s/u)^{1/2-H}) / (u-s)``
+    computed by ``expm1``/``log1p`` so that it keeps its digits near ``u = s``.
+
+    Both integrals are of the form ``(u-s)^beta`` times a factor analytic on
+    ``[s, t]`` but singular at ``u = 0``.  They are evaluated by a composite
+    Gauss rule of ``_GAUSS_NODES`` nodes per panel: a Gauss-Jacobi panel
+    ``[s, s + min(t-s, s)]`` that carries the endpoint power, then
+    Gauss-Legendre panels doubling in width up to ``t``, so that each panel
+    lies at least its own width away from ``u = 0``.  The nodes come from
+    Golub-Welsch and are built once per exponent.  Values are memoized per
+    ``(t, s)``.
     """
 
     H: float
@@ -171,22 +229,12 @@ class FbmKernel(VolterraKernel):
             val = c * t ** (H - 0.5) if H > 0.5 else math.inf
             self._memo[key] = val
             return val
-        span = math.sqrt(t - s)
+        # d = u - s throughout, so no node loses digits to the difference
         if H > 0.5:
-
-            def integrand(v):
-                u = s + v * v
-                return 2.0 * v ** (2.0 * H - 2.0) * u ** (H - 0.5)
-
-            intval, _ = quad(integrand, 0.0, span, epsabs=0.0, epsrel=_FBM_QUAD_RELTOL, limit=200)
+            intval = _rough_integral(t - s, s, H - 1.5, lambda d: (s + d) ** (H - 0.5))
             val = c * (H - 0.5) * s ** (0.5 - H) * intval
         else:
-
-            def integrand(v):
-                u = s + v * v
-                return 2.0 * v ** (2.0 * H - 2.0) * (1.0 - (s / u) ** (0.5 - H))
-
-            intval, _ = quad(integrand, 0.0, span, epsabs=0.0, epsrel=_FBM_QUAD_RELTOL, limit=200)
+            intval = _rough_integral(t - s, s, H - 0.5, lambda d: -np.expm1((H - 0.5) * np.log1p(d / s)) / d)
             val = c * ((t - s) ** (H - 0.5) + (0.5 - H) * intval)
         self._memo[key] = val
         return val

@@ -256,6 +256,19 @@ def test_cli_huge_lambda_writes_finite_norms(tmp_path):
     assert all(math.isfinite(v) for v in norms.values())
 
 
+@pytest.mark.parametrize("lam, code", [(-400.0, 4), (-1e308, 4), (400.0, 0)])
+def test_cli_weight_overflow_exits_4_without_warning(tmp_path, capsys, recwarn, lam, code):
+    """The diagnostics weight order n by n! e^{-2 lam n}: at lam = -400 the
+    exponential overflows and at lam = -1e308 its exponent does.  Both are
+    an overflow naming the order (exit 4), not a failed gate or a warning."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg_with(integrand={"builder": "brownian"}, lambdas=[lam])))
+    assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path)]) == code
+    if code == 4:
+        assert "weighted term of order 1 overflows" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 SWEEP_BUILDERS = {
     "constant": {"builder": "constant", "value": 1.5},
     "brownian": {"builder": "brownian"},
@@ -267,9 +280,9 @@ SWEEP_VOLATILITIES = ["constant", "brownian", "wiener", "random"]
 OU = {"kind": "ou", "alpha": 1.0}
 TURBULENCE = {"kind": "turbulence", "alpha": 1.0, "nu": 0.8}
 FBM_ROUGH, FBM_SMOOTH = {"kind": "fbm", "H": 0.3}, {"kind": "fbm", "H": 0.7}
-# (cells, kernel): OU, turbulence and smooth fbm on 4 cells, the singular
-# rough fbm on 8 cells; the full cross product would take about 20 s
-SWEEP_GRIDS = [(4, OU), (4, TURBULENCE), (4, FBM_SMOOTH), (8, FBM_ROUGH)]
+# (cells, kernel): OU and turbulence on 4 cells, both fbm kernels on 8
+# cells; the full cross product would take about 20 s
+SWEEP_GRIDS = [(4, OU), (4, TURBULENCE), (8, FBM_SMOOTH), (8, FBM_ROUGH)]
 
 
 def _sweep_spec(name: str, cells: int) -> dict:
@@ -307,16 +320,30 @@ def test_cli_vmbv_sweep_exit_codes_and_rerun_bytes(tmp_path, integrand):
         assert (runs[0][0] == 0) == (runs[0][1] is not None), name
 
 
-def test_console_entry_point(tmp_path):
-    # the child process imports the package the tests imported
+def _child_env() -> dict:
+    """The environment of a child process that imports the package the
+    tests imported."""
     src = str(Path(chaoscalc.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "chaoscalc.cli", "identity-suite", "--draws", "1",
          "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "identity-suite" in proc.stdout
+
+
+def test_runtime_imports_no_scipy():
+    """numpy is the only runtime dependency: importing the package and its
+    command line loads no scipy module."""
+    code = ("import sys, chaoscalc, chaoscalc.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

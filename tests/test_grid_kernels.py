@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -194,10 +195,23 @@ def test_order_weighted_sum_table_matches_scalar_contraction():
             assert got[j] == pytest.approx(want, rel=1e-13, abs=0.0)
             assert got[j] == order_weighted_sum(orders, table[:, j], lam)
         assert got[4] == 0.0
-    # a zero next to a weight that overflows to inf still contributes 0
-    got = order_weighted_sum([30, 2], np.array([[0.0, 1.0], [1.0, 1.0]]), 11.5)
+    # a zero next to a weight that overflows to inf still contributes 0, and
+    # an infinite value passes through to the caller's gates
+    got = order_weighted_sum([30, 2], np.array([[0.0, math.inf], [1.0, 1.0]]), 11.5)
     assert got[0] == math.factorial(2) * math.exp(2 * 11.5 * 2)
     assert math.isinf(got[1])
+
+
+@pytest.mark.parametrize("orders, lam", [([30, 2], 11.5), ([2], 400.0), ([0, 1], 1e308), ([40], 1e308), ([40], 20.0)])
+def test_order_weighted_sum_overflow_names_order_and_lam(orders, lam):
+    """A finite value whose weighted term is not finite raises, in the
+    direct and the log-space branch, whether ``math.exp`` raises on the
+    weight or returns inf (the exponent itself overflowing)."""
+    top = max(orders)
+    with pytest.raises(OverflowError, match=re.escape(f"order {top} overflows at lam={lam}")):
+        order_weighted_sum(orders, np.ones((len(orders), 2)), lam)
+    with pytest.raises(OverflowError, match=f"order {top} "):
+        order_weighted_sum(orders, np.ones(len(orders)), lam)
 
 
 def test_pairing_examples():

@@ -3,8 +3,10 @@ and integrability diagnostics."""
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma, gammaln
 
 from chaoscalc import (
     ChaosProcess,
@@ -21,7 +23,9 @@ from chaoscalc import (
     make_grid,
     pointwise,
 )
+from chaoscalc.chaos import order_weighted_sum
 from chaoscalc.testing import random_chaos_process, random_chaos_vector, rng_from
+from chaoscalc.volterra import _fbm_c
 
 GRID = make_grid(1.0, 8)
 
@@ -214,6 +218,54 @@ def test_fbm_covariance_reproduction():
             acc *= g.step
             exact = 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
             assert abs(acc - exact) / exact < 0.05
+
+
+def _fbm_by_quad(H: float, t: float, s: float) -> float:
+    """The rough kernel by adaptive quadrature after the substitution
+    ``u = s + v^2``, which removes the endpoint power singularity."""
+    c = math.sqrt(2.0 * H * gamma(1.5 - H)) / math.sqrt(gamma(H + 0.5) * gamma(2.0 - 2.0 * H))
+    span = math.sqrt(t - s)
+    if H > 0.5:
+        intval, _ = quad(lambda v: 2.0 * v ** (2.0 * H - 2.0) * (s + v * v) ** (H - 0.5),
+                         0.0, span, epsabs=0.0, epsrel=1e-9, limit=200)
+        return c * (H - 0.5) * s ** (0.5 - H) * intval
+    intval, _ = quad(lambda v: 2.0 * v ** (2.0 * H - 2.0) * (1.0 - (s / (s + v * v)) ** (0.5 - H)),
+                     0.0, span, epsabs=0.0, epsrel=1e-9, limit=200)
+    return c * ((t - s) ** (H - 0.5) + (0.5 - H) * intval)
+
+
+# at H = 0.1 the oracle's integrand cancels in 1 - (s/u)^0.4 near v = 0 and
+# quad warns of roundoff; its value still serves at the 1e-9 tolerance
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9])
+@pytest.mark.parametrize("cells", [16, 64, 256, 1024])
+def test_fbm_kernel_matches_adaptive_quadrature(H, cells):
+    """The composite Gauss rule agrees with adaptive quadrature at node and
+    midpoint ``s``: next to the diagonal, at the first cells (where the
+    smooth factor is nearest its singularity at 0) and in between."""
+    k = FbmKernel(H=H)
+    h = 1.0 / cells
+    for i in sorted({1, 2, cells // 2, cells}):
+        for j in sorted({0, 1, i // 2, i - 1}):
+            for s in (j * h, (j + 0.5) * h):
+                if 0.0 < s < i * h:
+                    want = _fbm_by_quad(H, i * h, s)
+                    assert kernel_eval(k, i * h, s) == pytest.approx(want, rel=1e-9, abs=0.0), (i, s)
+
+
+def test_fbm_constant_matches_scipy_gamma():
+    for H in np.linspace(0.01, 0.99, 99):
+        want = math.sqrt(2.0 * H * gamma(1.5 - H)) / math.sqrt(gamma(H + 0.5) * gamma(2.0 - 2.0 * H))
+        assert _fbm_c(H) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_log_space_order_weights_match_gammaln():
+    """Above the log-space guard the weight of order n is exp(log n! + 2 lam n);
+    the log n! it carries agrees with scipy's gammaln to 1e-14 relative."""
+    lam = -2.0
+    for n in range(31, 301):
+        log_n_fact = math.log(order_weighted_sum([n], [1.0], lam)) - 2.0 * lam * n
+        assert log_n_fact == pytest.approx(gammaln(n + 1), rel=1e-14, abs=0.0), n
 
 
 def test_fbm_exact_cancellation_pair():
