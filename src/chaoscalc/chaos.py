@@ -163,7 +163,7 @@ class ChaosVector:
                 out[n] = out[n].add(k)
             else:
                 out[n] = k
-        return ChaosVector(self.grid, {n: k for n, k in out.items() if not k.is_zero()})
+        return ChaosVector(self.grid, out)
 
     def sub(self, other: "ChaosVector") -> "ChaosVector":
         return self.add(other.scale(-1.0))

@@ -132,16 +132,15 @@ def remove_once(tup: tuple[int, ...], values: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _layered_tuples(order: int, live: np.ndarray) -> np.ndarray:
-    """The canonical tuples of a layered kernel's sparse form, given the mask
-    ``live`` of its non-zero layers: the ``(K, order)`` matrix of every
-    multiset of the cells up to the top live one, in lexicographic order.
-    Raises ``RepresentationLimitError`` when there are too many."""
+def _multisets(order: int, live: np.ndarray) -> np.ndarray:
+    """Every multiset of ``order`` cells up to the last cell marked in
+    ``live``: the ``(K, order)`` matrix of sorted rows in lexicographic
+    order.  Raises ``RepresentationLimitError`` when there are too many."""
     nz = np.flatnonzero(live)
     top = int(nz[-1]) if nz.size else -1
     count = math.comb(top + order + 1, order) if nz.size else 0
     if count > _DENSIFY_LIMIT:
-        raise RepresentationLimitError(f"layered kernel too large to densify ({count} multisets)")
+        raise RepresentationLimitError(f"kernel too large to densify ({count} multisets)")
     tuples = np.array(list(combinations_with_replacement(range(top + 1), order)), dtype=np.int64)
     return tuples.reshape(len(tuples), order)
 
@@ -498,7 +497,7 @@ class LayeredKernel:
 
     def to_sparse(self) -> SymKernel:
         """Materialize as sparse canonical tuples.  Guarded by size."""
-        tuples = _layered_tuples(self.order, self.layers != 0.0)
+        tuples = _multisets(self.order, self.layers != 0.0)
         return SymKernel.from_arrays(self.order, self.grid, tuples, self.layers[tuples[:, -1]])
 
     def to_json(self) -> dict:
@@ -518,17 +517,25 @@ class LayeredKernel:
 
 
 class TimeSlotSymKernel:
-    """Symmetrization of ``G(x_1..x_q, s) = phi[s, max(x)]`` plus an optional
-    already-symmetric layered addend of the same total order ``q+1``.
+    """Symmetrization of ``G(x_1..x_q, s) = phi[s, max(x)]``, total order
+    ``q+1``.
+
+    A symmetric layered kernel ``L`` of the same order is the table
+    ``phi[s, r] = L[max(s, r)]``: each symmetrized term
+    ``phi[x_i, max(x without x_i)]`` is ``L[max x]``.  So adding a layered
+    kernel adds its table, and ``phi`` is the only field.
 
     Norms and inner products use that the symmetrization projector ``P`` is
     orthogonal: ``<PG, PG> = <G, PG>`` reduces everything to closed forms on
     the ``[cell, cell]`` grid, independent of the chaos order.
     """
 
-    __slots__ = ("order", "grid", "phi", "extra")
+    __slots__ = ("order", "grid", "phi")
+    # Always None: layered addends are folded into ``phi``.  Kept for
+    # ``stored_entries`` in bench/tracer.py, which still reads it.
+    extra = None
 
-    def __init__(self, order: int, grid: GridSpec, phi: np.ndarray, extra: np.ndarray | None = None):
+    def __init__(self, order: int, grid: GridSpec, phi: np.ndarray):
         if order < 2:
             raise ValueError("TimeSlotSymKernel needs total order >= 2")
         phi = np.asarray(phi, dtype=float)
@@ -537,55 +544,43 @@ class TimeSlotSymKernel:
         self.order = order
         self.grid = grid
         self.phi = phi
-        self.extra = None if extra is None else np.asarray(extra, dtype=float)
 
     @property
     def _q(self) -> int:
         return self.order - 1
 
     def is_zero(self) -> bool:
-        z = not self.phi.any()
-        if self.extra is not None:
-            z = z and not self.extra.any()
-        return z
+        return not self.phi.any()
 
     def support_cells(self) -> set[int]:
-        cells: set[int] = set()
         s_nz, r_nz = np.nonzero(self.phi)
-        if s_nz.size:
-            cells.update(int(s) for s in s_nz)
-            cells.update(range(int(r_nz.max()) + 1))
-        if self.extra is not None:
-            nz = np.nonzero(self.extra)[0]
-            if nz.size:
-                cells.update(range(int(nz[-1]) + 1))
-        return cells
+        if not s_nz.size:
+            return set()
+        return set(s_nz.tolist()) | set(range(int(r_nz.max()) + 1))
 
     def scale(self, a: float) -> "TimeSlotSymKernel":
-        extra = None if self.extra is None else a * self.extra
-        return TimeSlotSymKernel(self.order, self.grid, a * self.phi, extra)
+        return TimeSlotSymKernel(self.order, self.grid, a * self.phi)
+
+    def _table_of(self, other) -> np.ndarray:
+        """The table of a layered or time-slot kernel of the same order."""
+        if not isinstance(other, (TimeSlotSymKernel, LayeredKernel)):
+            raise TypeError(f"expected a layered or time-slot kernel, got {type(other).__name__}")
+        if self.order != other.order:
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+        same_grid(self.grid, other.grid)
+        if isinstance(other, TimeSlotSymKernel):
+            return other.phi
+        idx = np.arange(self.grid.cells)
+        return other.layers[np.maximum.outer(idx, idx)]
 
     def add(self, other) -> "TimeSlotSymKernel | SymKernel":
-        if isinstance(other, TimeSlotSymKernel):
-            if self.order != other.order:
-                raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-            same_grid(self.grid, other.grid)
-            extra = self.extra
-            if other.extra is not None:
-                extra = other.extra if extra is None else extra + other.extra
-            return TimeSlotSymKernel(self.order, self.grid, self.phi + other.phi, extra)
-        if isinstance(other, LayeredKernel):
-            if self.order != other.order:
-                raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-            same_grid(self.grid, other.grid)
-            extra = other.layers if self.extra is None else self.extra + other.layers
-            return TimeSlotSymKernel(self.order, self.grid, self.phi.copy(), extra)
         if isinstance(other, SymKernel):
             return self.to_sparse().add(other)
-        raise TypeError(f"cannot add {type(other).__name__} to TimeSlotSymKernel")
+        return TimeSlotSymKernel(self.order, self.grid, self.phi + self._table_of(other))
 
-    def _gg_inner(self, other: "TimeSlotSymKernel") -> float:
-        """<G1, P G2> for the raw (pre-symmetrization) families.
+    def _gg_inner(self, p2: np.ndarray) -> float:
+        """<G1, P G2> for the raw (pre-symmetrization) families of this
+        table and the table ``p2``.
 
         Besides the direct term, ``P`` swaps the time slot with one of the
         ``q`` layer slots, which gives ``step**2`` times
@@ -603,7 +598,7 @@ class TimeSlotSymKernel:
         """
         q = self._q
         step = self.grid.step
-        p1, p2 = self.phi, other.phi
+        p1 = self.phi
         wq = layer_weights(self.grid, q)
         direct = step * float(np.einsum("sr,sr,r->", p1, p2, wq))
         wq1 = layer_weights(self.grid, q - 1)
@@ -615,75 +610,32 @@ class TimeSlotSymKernel:
                    + np.einsum("sa,as,sa->", p1, p2, below[np.minimum.outer(idx, idx)]))
         return (direct + q * step * step * float(swapped)) / (q + 1)
 
-    def _g_layered_inner(self, layers: np.ndarray) -> float:
-        """<G, L> for a symmetric layered kernel L of the same total order:
-        ``step * sum_{s,r} wq[r] phi[s, r] L[max(r, s)]``, one gather of the
-        layers over the index grid ``max(r, s)``."""
-        idx = np.arange(self.grid.cells)
-        lmax = layers[np.maximum.outer(idx, idx)]
-        wq = layer_weights(self.grid, self._q)
-        return self.grid.step * float(np.einsum("sr,sr,r->", self.phi, lmax, wq))
-
     def inner(self, other) -> float:
-        if isinstance(other, TimeSlotSymKernel):
-            if self.order != other.order:
-                raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-            same_grid(self.grid, other.grid)
-            total = self._gg_inner(other)
-            if other.extra is not None:
-                total += self._g_layered_inner(other.extra)
-            if self.extra is not None:
-                total += other._g_layered_inner(self.extra)
-            if self.extra is not None and other.extra is not None:
-                wq1 = layer_weights(self.grid, self.order)
-                total += float(np.dot(wq1, self.extra * other.extra))
-            return total
-        if isinstance(other, LayeredKernel):
-            if self.order != other.order:
-                raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-            same_grid(self.grid, other.grid)
-            total = self._g_layered_inner(other.layers)
-            if self.extra is not None:
-                total += float(np.dot(layer_weights(self.grid, self.order), self.extra * other.layers))
-            return total
         if isinstance(other, SymKernel):
             return self.to_sparse().inner(other)
-        raise TypeError(f"cannot pair TimeSlotSymKernel with {type(other).__name__}")
+        return self._gg_inner(self._table_of(other))
 
     def norm_sq(self) -> float:
-        return self.inner(self)
+        return self._gg_inner(self.phi)
 
     def s_transform(self, xi: np.ndarray) -> float:
-        q = self._q
         step = self.grid.step
         prefix = np.concatenate(([0.0], np.cumsum(xi) * step))
-        powers = prefix ** q
-        layer_s = powers[1:] - powers[:-1]
-        total = step * float(np.einsum("s,sr,r->", xi, self.phi, layer_s))
-        if self.extra is not None:
-            powers1 = prefix ** self.order
-            total += float(np.dot(self.extra, powers1[1:] - powers1[:-1]))
-        return total
+        powers = prefix ** self._q
+        return step * float(np.einsum("s,sr,r->", xi, self.phi, powers[1:] - powers[:-1]))
 
     def to_sparse(self) -> SymKernel:
-        """Materialize via explicit symmetrization.  Small orders only."""
-        M = self.grid.cells
-        n_multisets = math.comb(M + self.order - 1, self.order)
-        if n_multisets > _DENSIFY_LIMIT:
-            raise RepresentationLimitError(f"time-slot kernel too large to densify ({n_multisets} multisets)")
-        ent: dict[tuple[int, ...], float] = {}
-        for tup in combinations_with_replacement(range(M), self.order):
-            val = 0.0
-            for v in set(tup):
-                rest = remove_once(tup, (v,))
-                r = max(rest)
-                val += tup.count(v) * self.phi[v, r]
-            val /= self.order
-            if self.extra is not None:
-                val += self.extra[max(tup)]
-            if val != 0.0:
-                ent[tup] = val
-        return SymKernel(self.order, self.grid, ent)
+        """Materialize every multiset of the support at once: a run of
+        ``len`` equal cells ``v`` adds ``len * phi[v, max(rest)]``, where the
+        rest's largest cell is the tuple's unless ``v`` is its unique
+        largest, and the sum is divided by the order.  Guarded by size."""
+        n = self.order
+        tuples = _multisets(n, self.phi.any(axis=0) | self.phi.any(axis=1))
+        runs = run_lengths(tuples)
+        top = tuples[:, -1:]
+        rest_max = np.where((tuples == top) & (runs == 1), tuples[:, -2:-1], top)
+        values = (runs * self.phi[tuples, rest_max]).sum(axis=1) / n
+        return SymKernel.from_arrays(n, self.grid, tuples, values)
 
     def __repr__(self):
         return f"TimeSlotSymKernel(order={self.order}, cells={self.grid.cells})"

@@ -82,9 +82,7 @@ def derivative_at(phi: ChaosVector, cell: int) -> ChaosVector:
     for n, k in phi.components.items():
         if n == 0:
             continue
-        sliced = k.slice_at(cell).scale(float(n))
-        if not sliced.is_zero():
-            comps[n - 1] = sliced
+        comps[n - 1] = k.slice_at(cell).scale(float(n))
     return ChaosVector(phi.grid, comps)
 
 
@@ -195,10 +193,8 @@ def _product(phi: ChaosVector, psi: ChaosVector, max_order: int | None, contract
                 prod = ka.contract_sym(kb, k)
                 if k:
                     prod = prod.scale(float(math.factorial(k) * math.comb(m, k) * math.comb(n, k)))
-                if prod.is_zero():
-                    continue
                 comps[out_order] = comps[out_order].add(prod) if out_order in comps else prod
-    return ChaosVector(phi.grid, {n: k for n, k in comps.items() if not k.is_zero()})
+    return ChaosVector(phi.grid, comps)
 
 
 def wick(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) -> ChaosVector:

@@ -69,12 +69,13 @@ def _sigma_process(grid: GridSpec, sigma) -> ChaosProcess:
 
 
 # mode -> (volatility gate, sign of its index, pointwise product, strong
-# independence checked)
+# independence checked).  Under strongind's gate every contraction term of
+# the pointwise product is zero, so it runs the Wick product.
 _MODES = {
     "plain": (None, None, False, False),
     "sigma": ("C(2)", 1.0, True, False),
     "wick": ("D(10)", -1.0, False, False),
-    "strongind": ("D(10)", -1.0, True, True),
+    "strongind": ("D(10)", -1.0, False, True),
 }
 
 
@@ -170,8 +171,10 @@ def integrate_strongind(phi: ChaosProcess, Sigma, kernel: VolterraKernel, t: flo
     The gate checks the kernel action against the volatility at every cell
     (the action mixes future integrand values into each cell, so integrand
     support alone is not enough), then D(10) and the diagnostics as in
-    ``integrate_wick``.  Under the gate the result equals the Wick integral
-    exactly; the tests assert that, nothing re-checks it at run time.
+    ``integrate_wick``.  Under the gate every contraction term of the
+    pointwise product vanishes, so the integral runs the Wick product; the
+    tests assert that it equals the pointwise integral, nothing re-checks
+    it at run time.
     """
     value, skor, drift, (report,), extra, _ = _integral(
         phi, kernel, t, [lam], Sigma, "strongind", max_order)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
 from .grid import GridSpec
-from .kernels import _layered_tuples, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
+from .kernels import _multisets, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
 
 # Nodes per panel of the rough kernel's composite Gauss rule.  Every panel
 # lies at least its own width away from the singularity at u = 0, so each
@@ -435,7 +435,7 @@ class _OrderStack:
         at its largest cell.  Raises ``RepresentationLimitError`` where
         ``LayeredKernel.to_sparse`` of one of those rows would."""
         rows = np.where(cells[:, None], self.rows, 0.0)
-        keys = _layered_tuples(self.order, rows.any(axis=0))
+        keys = _multisets(self.order, rows.any(axis=0))
         return _OrderStack(self.grid, self.order, keys, rows[:, keys[:, -1]])
 
     def derivative(self) -> "_OrderStack":

@@ -20,6 +20,7 @@ from chaoscalc import (
     ChaosVector,
     GridSpec,
     SymKernel,
+    TimeSlotSymKernel,
     derivative_at,
     kernel_measure,
     kg_apply,
@@ -39,9 +40,10 @@ def dense_from_kernel(k) -> np.ndarray:
         for tup, c in k.entries.items():
             for perm in set(itertools.permutations(tup)):
                 out[perm] = c
+    elif isinstance(k, TimeSlotSymKernel):
+        return dense_from_kernel(time_slot_to_sparse_per_multiset(k))
     else:
-        sp = k.to_sparse()
-        return dense_from_kernel(sp)
+        return dense_from_kernel(k.to_sparse())
     return out
 
 
@@ -301,6 +303,23 @@ def g_layered_inner_per_cell(a, layers: np.ndarray) -> float:
             continue
         total += float(np.dot(wq, row * layers[np.maximum(idx, s)]))
     return grid.step * total
+
+
+def time_slot_to_sparse_per_multiset(k) -> SymKernel:
+    """The sparse form of a time-slot kernel from its definition, one
+    multiset of all the grid's cells at a time: the mean over the slots of
+    ``phi[slot cell, largest other cell]``."""
+    ent: dict[tuple[int, ...], float] = {}
+    for tup in itertools.combinations_with_replacement(range(k.grid.cells), k.order):
+        val = 0.0
+        for v in set(tup):
+            rest = list(tup)
+            rest.remove(v)
+            val += tup.count(v) * k.phi[v, max(rest)]
+        val /= k.order
+        if val != 0.0:
+            ent[tup] = val
+    return SymKernel(k.order, k.grid, ent)
 
 
 def pettis_per_cell(psi, a: float, b: float) -> ChaosVector:

@@ -381,8 +381,8 @@ def test_densify_limit_raises_representation_limit_error():
 STORAGE_FORMS = {
     "sparse": lambda g, rng: random_sym_kernel(g, 3, rng, n_entries=5),
     "layered": lambda g, rng: LayeredKernel(3, g, rng.standard_normal(g.cells)),
-    "timeslot": lambda g, rng: TimeSlotSymKernel(3, g, rng.standard_normal((g.cells, g.cells)),
-                                                 rng.standard_normal(g.cells)),
+    "timeslot": lambda g, rng: TimeSlotSymKernel(3, g, rng.standard_normal((g.cells, g.cells))).add(
+        LayeredKernel(3, g, rng.standard_normal(g.cells))),
 }
 
 

@@ -389,7 +389,8 @@ def _storage_form_vectors(rng) -> dict[str, ChaosVector]:
         "timeslot": ChaosVector(GRID, {
             0: SymKernel.scalar(GRID, 0.5),
             2: TimeSlotSymKernel(2, GRID, rng.standard_normal((M, M))),
-            3: TimeSlotSymKernel(3, GRID, rng.standard_normal((M, M)), rng.standard_normal(M)),
+            3: TimeSlotSymKernel(3, GRID, rng.standard_normal((M, M))).add(
+                LayeredKernel(3, GRID, rng.standard_normal(M))),
         }),
     }
 

@@ -227,6 +227,7 @@ def test_strongind_gate_and_equality():
         res = integrate_strongind(proc, sig, k, 1.0)
         wick_res = integrate_wick(proc, sig, k, 1.0)
         assert rel_error(res.value, wick_res.value) < 1e-12
+        assert rel_error(res.value, integrate_sigma(proc, sig, k, 1.0).value) < 1e-12
         assert set(res.extra_diagnostics) == {"D(10)", "sigma_max_order"}
         assert res.extra_diagnostics["D(10)"] == wick_res.extra_diagnostics["D(10)"]
         assert res.extra_diagnostics["sigma_max_order"] == 2
@@ -246,11 +247,12 @@ def test_volatility_gates_equal_per_cell_norm_sums():
         assert integrate_wick(proc, sig, k, 1.0, lam=lam).extra_diagnostics["D(10)"] == want[1]
 
 
-def test_strongind_runs_the_pointwise_pipeline_once(monkeypatch):
-    """The gated integral takes one stacked pass with pointwise products,
-    whose contraction terms (orders 1 and 2 here) only the pointwise product
-    has, and never runs the Wick product; its equality with the Wick
-    integral is asserted by the tests, not re-checked at run time."""
+def test_strongind_runs_the_wick_pipeline_once(monkeypatch):
+    """The gated integral takes one stacked pass with Wick products: under
+    the gate every contraction term of the pointwise product is zero, so
+    only zero-contraction pair structures are built.  Its equality with the
+    pointwise integral is asserted by the tests, not re-checked at run
+    time."""
     passes = Counter()
     contractions = Counter()
     integrate, contract = vmbv_mod._integrate, stacked_mod._contract
@@ -269,8 +271,8 @@ def test_strongind_runs_the_pointwise_pipeline_once(monkeypatch):
     proc = random_chaos_process(GRID, 2, rng, cells=[0, 1, 2, 3])
     sig = random_chaos_process(GRID, 2, rng, cells=[4, 5, 6, 7])
     integrate_strongind(proc, sig, OuKernel(alpha=1.0), 1.0)
-    assert passes == {"pointwise": 1}
-    assert contractions[0] > 0 and contractions[1] > 0 and contractions[2] > 0
+    assert passes == {"wick": 1}
+    assert contractions[0] > 0 and set(contractions) == {0}
 
 
 def test_strongind_rejects_overlap():
