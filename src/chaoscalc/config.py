@@ -30,6 +30,22 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _number(value, where: str, kind=float):
+    """``kind(value)`` for a config number; anything else is a ConfigError
+    naming ``where``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from e
+
+
+def _numbers(value, where: str, kind=float) -> list:
+    """A config list of numbers, each converted by ``kind``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return [_number(v, where, kind) for v in value]
+
+
 def _require_keys(obj: dict, required: set[str], optional: set[str], where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -88,15 +104,22 @@ class ExperimentConfig:
 
 
 def _validate_kernel(cfg: dict):
-    kind = cfg.get("kind")
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if kind not in _KERNEL_KEYS:
         raise ConfigError(f"kernel: unknown kind {kind!r}")
     required, optional = _KERNEL_KEYS[kind]
     _require_keys(cfg, required, optional, "kernel")
+    for key in sorted(required - {"kind", "values"}):
+        _number(cfg[key], f"kernel: {key}")
+    if kind == "table":
+        if not isinstance(cfg["values"], list):
+            raise ConfigError(f"kernel: values: expected a list of rows, got {cfg['values']!r}")
+        for row in cfg["values"]:
+            _numbers(row, "kernel: values")
 
 
 def _validate_builder(cfg: dict, where: str):
-    builder = cfg.get("builder")
+    builder = cfg.get("builder") if isinstance(cfg, dict) else None
     if builder not in _BUILDER_KEYS:
         raise ConfigError(f"{where}: unknown builder {builder!r}")
     required, optional = _BUILDER_KEYS[builder]
@@ -106,7 +129,7 @@ def _validate_builder(cfg: dict, where: str):
 def build_process(cfg: dict, grid: GridSpec, seed: int, t: float) -> ChaosProcess:
     builder = cfg["builder"]
     if builder == "constant":
-        vec = ChaosVector.deterministic(grid, float(cfg["value"]))
+        vec = ChaosVector.deterministic(grid, _number(cfg["value"], "constant: value"))
         return ChaosProcess.constant(grid, vec)
     if builder == "brownian":
         return ChaosProcess.from_function(
@@ -118,7 +141,7 @@ def build_process(cfg: dict, grid: GridSpec, seed: int, t: float) -> ChaosProces
             ),
         )
     if builder == "wiener":
-        weights = [float(w) for w in cfg["weights"]]
+        weights = _numbers(cfg["weights"], "wiener: weights")
         if len(weights) != grid.cells:
             raise ConfigError(f"wiener: need {grid.cells} weights, got {len(weights)}")
 
@@ -130,13 +153,15 @@ def build_process(cfg: dict, grid: GridSpec, seed: int, t: float) -> ChaosProces
 
         return ChaosProcess.from_function(grid, wiener_at)
     if builder == "donsker":
-        if "t" in cfg and abs(float(cfg["t"]) - t) > 1e-12:
+        if "t" in cfg and abs(_number(cfg["t"], "donsker: t") - t) > 1e-12:
             raise ConfigError(f"donsker: builder t={cfg['t']} conflicts with experiment t={t}")
-        return donsker_process(grid, int(cfg["order"]), float(cfg["eps"]))
+        return donsker_process(grid, _number(cfg["order"], "donsker: order", int),
+                               _number(cfg["eps"], "donsker: eps"))
     if builder == "custom":
         cells = cfg["cells"]
-        if len(cells) != grid.cells:
-            raise ConfigError(f"custom: need {grid.cells} cell entries, got {len(cells)}")
+        count = len(cells) if isinstance(cells, list) else type(cells).__name__
+        if count != grid.cells:
+            raise ConfigError(f"custom: need {grid.cells} cell entries, got {count}")
         values = []
         for obj in cells:
             if obj is None:
@@ -153,13 +178,18 @@ def build_process(cfg: dict, grid: GridSpec, seed: int, t: float) -> ChaosProces
     if builder == "random":
         rng = rng_from(seed)
         support = cfg.get("support")
+        if support is not None:
+            support = _numbers(support, "random: support", int)
+            outside = [c for c in support if not 0 <= c < grid.cells]
+            if outside:
+                raise ConfigError(f"random: support cell {outside[0]} outside grid with {grid.cells} cells")
         return random_chaos_process(
             grid,
-            int(cfg["max_order"]),
+            _number(cfg["max_order"], "random: max_order", int),
             rng,
-            n_entries=int(cfg.get("entries", 2)),
+            n_entries=_number(cfg.get("entries", 2), "random: entries", int),
             cells=support,
-            scale=float(cfg.get("scale", 1.0)),
+            scale=_number(cfg.get("scale", 1.0), "random: scale"),
         )
     raise ConfigError(f"unknown builder {builder!r}")
 
@@ -172,8 +202,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
         "config",
     )
     _require_keys(obj["grid"], {"horizon", "cells"}, set(), "grid")
+    horizon = _number(obj["grid"]["horizon"], "grid: horizon")
+    cells = _number(obj["grid"]["cells"], "grid: cells", int)
     try:
-        grid = make_grid(float(obj["grid"]["horizon"]), int(obj["grid"]["cells"]))
+        grid = make_grid(horizon, cells)
     except ValueError as e:
         raise ConfigError(f"grid: {e}") from e
     _validate_kernel(obj["kernel"])
@@ -191,22 +223,23 @@ def parse_config(obj: dict) -> ExperimentConfig:
         _validate_builder(vol_obj["spec"], "volatility.spec")
         vol_cfg = vol_obj["spec"]
 
-    t = float(obj["t"])
+    t = _number(obj["t"], "t")
     if not (0.0 < t <= grid.horizon * (1 + 1e-12)):
         raise ConfigError(f"t={t} outside (0, horizon]")
-    lambdas = tuple(float(x) for x in obj["lambdas"])
+    lambdas = tuple(_numbers(obj["lambdas"], "lambdas"))
     if not lambdas:
         raise ConfigError("lambdas must be non-empty")
     if not all(math.isfinite(lam) for lam in lambdas):
         raise ConfigError(f"lambdas must be finite, got {list(lambdas)}")
     truncation = obj.get("truncation")
     if truncation is not None:
-        truncation = int(truncation)
+        truncation = _number(truncation, "truncation", int)
         if truncation < 0:
             raise ConfigError(f"truncation must be >= 0, got {truncation}")
     sweep = obj.get("sweep", {})
-    if sweep:
-        _require_keys(sweep, set(), {"lambdas", "t", "cells"}, "sweep")
+    _require_keys(sweep, set(), {"lambdas", "t", "cells"}, "sweep")
+    sweep = {key: _numbers(values, f"sweep: {key}", int if key == "cells" else float)
+             for key, values in sweep.items()}
 
     return ExperimentConfig(
         grid=grid,
@@ -217,7 +250,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         t=t,
         lambdas=lambdas,
         truncation=truncation,
-        seed=int(obj["seed"]),
+        seed=_number(obj["seed"], "seed", int),
         sweep=dict(sweep),
         raw=obj,
     )

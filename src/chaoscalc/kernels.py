@@ -28,7 +28,7 @@ distinct orderings of the tuple, i.e. the Lebesgue volume of the orbit.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -135,14 +135,41 @@ def remove_once(tup: tuple[int, ...], values: Iterable[int]) -> tuple[int, ...]:
 def _multisets(order: int, live: np.ndarray) -> np.ndarray:
     """Every multiset of ``order`` cells up to the last cell marked in
     ``live``: the ``(K, order)`` matrix of sorted rows in lexicographic
-    order.  Raises ``RepresentationLimitError`` when there are too many."""
+    order, grown one slot at a time, each row repeated once per cell from
+    its last cell to the top.  Raises ``RepresentationLimitError`` when
+    there are too many."""
     nz = np.flatnonzero(live)
     top = int(nz[-1]) if nz.size else -1
-    count = math.comb(top + order + 1, order) if nz.size else 0
+    count = math.comb(top + order, order) if nz.size else 0
     if count > _DENSIFY_LIMIT:
         raise RepresentationLimitError(f"kernel too large to densify ({count} multisets)")
-    tuples = np.array(list(combinations_with_replacement(range(top + 1), order)), dtype=np.int64)
-    return tuples.reshape(len(tuples), order)
+    tuples = np.zeros((1 if nz.size else 0, 0), dtype=np.int64)
+    last = np.zeros(len(tuples), dtype=np.int64)
+    for _ in range(order):
+        reps = top + 1 - last
+        first = np.cumsum(reps) - reps
+        last = np.repeat(last, reps) + np.arange(int(reps.sum())) - np.repeat(first, reps)
+        tuples = np.column_stack([np.repeat(tuples, reps, axis=0), last])
+    return tuples
+
+
+def _splits(tuples: np.ndarray, k: int):
+    """Every distinct size-``k`` sub-multiset ``c`` of each sorted row, with
+    the rest of the row: ``(row index, c, rest)``.  Taking the leftmost
+    slots of each run of equal cells picks one slot set per multiset."""
+    count, n = tuples.shape
+    rows, subs, rests = [], [], []
+    for combo in combinations(range(n), k):
+        keep = np.ones(count, dtype=bool)
+        for j in combo:
+            if j > 0 and j - 1 not in combo:
+                keep &= tuples[:, j] != tuples[:, j - 1]
+        hit = np.flatnonzero(keep)
+        picked = tuples[hit]
+        rows.append(hit)
+        subs.append(picked[:, list(combo)])
+        rests.append(picked[:, [j for j in range(n) if j not in combo]])
+    return np.concatenate(rows), np.concatenate(subs), np.concatenate(rests)
 
 
 class SymKernel:
@@ -359,6 +386,8 @@ class SymKernel:
                 raise ValueError(f"tuple length {len(tup)} != order {order}")
             if tuple(sorted(tup)) != tup:
                 raise ValueError(f"tuple {tup} not in canonical sorted form")
+            if tup and (tup[0] < 0 or tup[-1] >= grid.cells):
+                raise ValueError(f"tuple {tup} has a cell outside grid with {grid.cells} cells")
             ent[tup] = ent.get(tup, 0.0) + float(c)
         return SymKernel(order, grid, ent)
 

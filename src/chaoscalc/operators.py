@@ -157,40 +157,33 @@ def pettis_time_integral(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
     return ChaosVector(grid, {n: k.scale(grid.step) for n, k in sums.items()})
 
 
-def _deterministic_product(phi: ChaosVector, psi: ChaosVector, max_order: int | None):
-    """Wick and pointwise product when one factor has no component above order
-    0: plain scaling of the other, in whatever storage form it has.  None when
-    both factors are random."""
-    for const, other in ((psi, phi), (phi, psi)):
-        if set(const.components) <= {0}:
-            c = const.expectation()
-            return ChaosVector(other.grid, {
-                n: k.scale(c) for n, k in other.components.items()
-                if max_order is None or n <= max_order
-            })
-    return None
-
-
 def _product(phi: ChaosVector, psi: ChaosVector, max_order: int | None, contract: bool) -> ChaosVector:
     """Sum over order pairs ``(n, m)`` and contraction orders ``k`` of
     ``k! C(n, k) C(m, k)`` times the ``k``-contraction (the product formula
     for multiple integrals): all ``k`` when ``contract``, else only ``k = 0``,
-    where the coefficient is 1.  Each factor is densified once per order
-    pair; ``max_order`` drops output orders and never approximates a term."""
+    where the coefficient is 1.  When a factor has no component above order
+    0, its order-0 kernel is a scalar and each pair is that scalar times the
+    other kernel, in the other kernel's storage form; otherwise each factor
+    is densified once per order pair.  ``max_order`` drops output orders and
+    never approximates a term."""
     same_grid(phi.grid, psi.grid)
-    scaled = _deterministic_product(phi, psi, max_order)
-    if scaled is not None:
-        return scaled
+    c_phi, c_psi = (v.expectation() if set(v.components) <= {0} else None for v in (phi, psi))
+    dense = c_phi is None and c_psi is None
     comps: dict[int, SymKernel] = {}
     for n, ka in phi.components.items():
-        ka = ka.to_sparse()
+        ka = ka.to_sparse() if dense else ka
         for m, kb in psi.components.items():
-            kb = kb.to_sparse()
+            kb = kb.to_sparse() if dense else kb
             for k in range(min(n, m) + 1 if contract else 1):
                 out_order = n + m - 2 * k
                 if max_order is not None and out_order > max_order:
                     continue
-                prod = ka.contract_sym(kb, k)
+                if c_psi is not None:
+                    prod = ka.scale(c_psi)
+                elif c_phi is not None:
+                    prod = kb.scale(c_phi)
+                else:
+                    prod = ka.contract_sym(kb, k)
                 if k:
                     prod = prod.scale(float(math.factorial(k) * math.comb(m, k) * math.comb(n, k)))
                 comps[out_order] = comps[out_order].add(prod) if out_order in comps else prod

@@ -27,13 +27,12 @@ entries are reduced at that size.  The per-cell operators of
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
 from .chaos import ChaosVector
 from .grid import GridSpec
-from .kernels import LayeredKernel, SymKernel, TimeSlotSymKernel, multiplicities, unique_rows
+from .kernels import LayeredKernel, SymKernel, TimeSlotSymKernel, _splits, multiplicities, unique_rows
 from .volterra import _OrderStack
 
 # Elements per temporary array of the stacked integral; larger products,
@@ -109,24 +108,6 @@ def _expand(counts: np.ndarray, width: int):
         owner = np.repeat(np.arange(lo, hi), c)
         yield owner, np.arange(len(owner)) - np.repeat(ends[lo:hi] - c - start, c)
         lo = hi
-
-
-def _splits(tuples: np.ndarray, k: int):
-    """Every distinct size-``k`` sub-multiset ``c`` of each sorted row, with
-    the rest of the row: ``(row index, c, rest)``.  Taking the leftmost
-    slots of each run of equal cells picks one slot set per multiset."""
-    count, n = tuples.shape
-    rows, subs, rests = [], [], []
-    for combo in combinations(range(n), k):
-        keep = np.ones(count, dtype=bool)
-        for j in combo:
-            if j > 0 and j - 1 not in combo:
-                keep &= tuples[:, j] != tuples[:, j - 1]
-        hit = np.flatnonzero(keep)
-        rows.append(hit)
-        subs.append(tuples[np.ix_(hit, combo)])
-        rests.append(tuples[np.ix_(hit, [j for j in range(n) if j not in combo])])
-    return np.concatenate(rows), np.concatenate(subs), np.concatenate(rests)
 
 
 def _key_splits(tuples: np.ndarray, k: int):
@@ -216,29 +197,19 @@ def _scalars(stacks: list[_OrderStack]) -> np.ndarray | None:
 
 
 def _cell_blocks(stacks: list[_OrderStack], both: np.ndarray):
-    """Blocks ``lo:hi`` of the cells, each small enough that the layered
-    rows it densifies (at the marked cells) hold about ``4 * _ENTRY_BLOCK``
-    floats (``2^20``; a float matrix holds no tuples); at least one cell per
-    block, one block without such rows."""
-    tops = []  # (order, top non-zero layer of each cell's row, -1 if none)
+    """Blocks ``lo:hi`` of the cells, all of one size: about
+    ``4 * _ENTRY_BLOCK`` floats (``2^20``; a float matrix holds no tuples)
+    over the multisets that the layered stacks densify at the marked cells,
+    ``sum_n C(top_n + n, n)`` per cell, ``top_n`` the top live layer of a
+    stack there; at least one cell per block, one block without such rows."""
+    width = 0
     for stack in stacks:
-        if stack.layered and stack.order > 0:
-            live = both[:, None] & (stack.rows != 0.0)
-            hit = live.any(axis=1)
-            if hit.any():
-                top = stack.rows.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
-                tops.append((stack.order, np.where(hit, top, -1).tolist()))
-    lo, t_cell = 0, len(both)
-    while lo < t_cell:
-        peak, hi = [-1] * len(tops), lo
-        while hi < t_cell:
-            new = [max(p, top[hi]) for p, (_, top) in zip(peak, tops)]
-            width = sum(math.comb(p + n, n) for p, (n, _) in zip(new, tops) if p >= 0)
-            if hi > lo and (hi + 1 - lo) * width > 4 * _ENTRY_BLOCK:
-                break
-            peak, hi = new, hi + 1
-        yield lo, hi
-        lo = hi
+        if stack.layered:
+            live = np.flatnonzero((stack.rows[both] != 0.0).any(axis=0))
+            if live.size:
+                width += math.comb(int(live[-1]) + stack.order, stack.order)
+    size = max(1, 4 * _ENTRY_BLOCK // width) if width else len(both)
+    return [(lo, min(lo + size, len(both))) for lo in range(0, len(both), size)]
 
 
 def _sparse_rows(stack: _OrderStack, lo: int, hi: int, cells: np.ndarray) -> _OrderStack | None:
@@ -258,15 +229,18 @@ def _products(xs: list[_OrderStack], vs: list[_OrderStack], t_cell: int, contrac
 
     Yields ``(order, part)``.  A part is an ``_OrderStack`` of product rows
     in a factor's coordinates, or a block ``(cells, unsorted tuples, d)``.
-    As in ``wick`` and ``pointwise``, a cell where one factor has no
-    component above order 0 scales the other factor in its storage form;
-    elsewhere layered rows are densified and every term is sparse.  The
-    densified rows are built for blocks of cells (``_cell_blocks``).
+    As in ``wick`` and ``pointwise``, a factor's order-0 row scales the
+    other factor's rows in their storage form, except a layered row at a
+    cell where both factors are random: there layered rows are densified,
+    and a densified row times the order-0 row is the ``k = 0`` term of
+    ``_contract``, as is every pair of random rows.  So the only pair the
+    contraction loop skips is an order-0 stack with a sparse stack, which
+    the scaling covers.  The densified rows are built for blocks of cells
+    of one size (``_cell_blocks``).
     """
     both = _random_cells(xs, t_cell) & _random_cells(vs, t_cell)
     v0, x0 = _scalars(vs), _scalars(xs)
-    scaled = ((v0, xs), (x0, [v for v in vs if v.order > 0]))
-    for factor, stacks in scaled:
+    for factor, stacks in ((v0, xs), (x0, [v for v in vs if v.order > 0])):
         if factor is not None:
             for stack in stacks:
                 rows = factor * stack.rows
@@ -279,18 +253,9 @@ def _products(xs: list[_OrderStack], vs: list[_OrderStack], t_cell: int, contrac
         cells = both[lo:hi]
         gx = [_sparse_rows(x, lo, hi, cells) for x in xs]
         gv = [_sparse_rows(v, lo, hi, cells) for v in vs]
-        for (factor, stacks), gs in zip(scaled, (gx, [g for g, v in zip(gv, vs) if v.order > 0])):
-            for stack, g in zip(stacks, gs):
-                if factor is not None and stack.layered and g is not None:
-                    step = max(1, _ENTRY_BLOCK // (g.rows.shape[1] * (stack.order + 1)))
-                    for r in range(0, hi - lo, step):
-                        s, j = np.nonzero(g.rows[r:r + step])
-                        s += r
-                        yield stack.order, (s + lo, g.tuples[j],
-                                            factor[s + lo, 0] * g.rows[s, j] * g.multiplicities()[j])
         for x, g in zip(xs, gx):
             for v, h in zip(vs, gv):
-                if x.order == 0 or v.order == 0 or g is None or h is None:
+                if g is None or h is None or (min(x.order, v.order) == 0 and not (x.layered or v.layered)):
                     continue
                 for k in range(min(x.order, v.order) + 1 if contract else 1):
                     for s, tuples, d in _contract(g, h, k, cells):

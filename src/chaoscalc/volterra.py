@@ -39,7 +39,7 @@ import numpy as np
 
 from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
 from .grid import GridSpec
-from .kernels import _multisets, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
+from .kernels import _multisets, _splits, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
 
 # Nodes per panel of the rough kernel's composite Gauss rule.  Every panel
 # lies at least its own width away from the singularity at u = 0, so each
@@ -255,6 +255,10 @@ class TableKernel(VolterraKernel):
     horizon: float
     kind = "table"
 
+    def __post_init__(self):
+        if len(self.values) < 2 or any(len(row) != len(self.values) for row in self.values):
+            raise ValueError("table kernel needs a square table of at least 2 x 2 node values")
+
     @staticmethod
     def from_array(values, horizon: float) -> "TableKernel":
         arr = tuple(tuple(float(v) for v in row) for row in values)
@@ -450,19 +454,12 @@ class _OrderStack:
                                    n * rows[cells, cells][:, None])
             at = np.maximum.outer(cells, np.arange(self.grid.cells))
             return _OrderStack(self.grid, n - 1, None, n * np.take_along_axis(rows, at, axis=1))
-        # one slice per distinct cell of a tuple: drop the first slot of its run
-        tuples = self.tuples
-        keys, cols, sliced = [], [], []
-        for j in range(n):
-            hit = tuples[:, j] < len(rows)
-            if j:
-                hit &= tuples[:, j] != tuples[:, j - 1]
-            hit = np.flatnonzero(hit)
-            keys.append(hit)
-            cols.append(tuples[hit, j])
-            sliced.append(tuples[hit][:, [i for i in range(n) if i != j]])
-        keys, cols = np.concatenate(keys), np.concatenate(cols)
-        out_keys, index = unique_rows(np.concatenate(sliced))
+        # one slice per distinct cell of a tuple at a cell below t
+        keys, cols, sliced = _splits(self.tuples, 1)
+        cols = cols[:, 0]
+        hit = cols < len(rows)
+        keys, cols = keys[hit], cols[hit]
+        out_keys, index = unique_rows(sliced[hit])
         out = np.zeros((len(rows), len(out_keys)))
         out[cols, index] = n * rows[cols, keys]
         return _OrderStack(self.grid, n - 1, out_keys, out)

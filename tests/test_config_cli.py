@@ -14,6 +14,7 @@ import pytest
 import chaoscalc
 from chaoscalc.cli import main
 from chaoscalc.config import ConfigError, parse_config
+from chaoscalc.volterra import TableKernel
 
 BASE = {
     "grid": {"horizon": 1.0, "cells": 8},
@@ -267,6 +268,68 @@ def test_cli_weight_overflow_exits_4_without_warning(tmp_path, capsys, recwarn, 
     if code == 4:
         assert "weighted term of order 1 overflows" in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+GRID4 = {"horizon": 1.0, "cells": 4}
+CUSTOM_CELL9 = {"grid": {"T": 1.0, "M": 4}, "components": [
+    {"order": 1, "grid": {"T": 1.0, "M": 4}, "entries": [[[9], 1.0]]}]}
+# config overrides of the wrong type or outside the grid, by subcommand
+BAD_CONFIGS = {
+    "lambdas-number": ("vmbv", {"lambdas": 1.0}),
+    "t-list": ("vmbv", {"t": [1.0]}),
+    "cells-list": ("vmbv", {"grid": {"horizon": 1.0, "cells": [4]}}),
+    "truncation-list": ("vmbv", {"truncation": [1]}),
+    "wiener-weights-number": ("vmbv", {"integrand": {"builder": "wiener", "weights": 5}}),
+    "constant-value-list": ("vmbv", {"integrand": {"builder": "constant", "value": [1]}}),
+    "random-support-number": ("vmbv", {"integrand": {"builder": "random", "max_order": 2, "support": 3}}),
+    "sweep-t-number": ("sweep", {"sweep": {"t": 0.5}}),
+    "sweep-cells-number": ("sweep", {"sweep": {"cells": 8}}),
+    "sweep-lambdas-number": ("sweep", {"sweep": {"lambdas": 2}}),
+    "random-support-above-grid": ("vmbv", {"grid": GRID4, "integrand": {
+        "builder": "random", "max_order": 2, "support": [100]}}),
+    "random-support-below-grid": ("vmbv", {"grid": GRID4, "integrand": {
+        "builder": "random", "max_order": 2, "support": [-1]}}),
+    "custom-cell-outside-grid": ("vmbv", {"grid": GRID4, "integrand": {
+        "builder": "custom", "cells": [None, None, None, CUSTOM_CELL9]}}),
+    "custom-cells-number": ("vmbv", {"integrand": {"builder": "custom", "cells": 5}}),
+    "integrand-number": ("vmbv", {"integrand": 5}),
+    "kernel-alpha-list": ("vmbv", {"kernel": {"kind": "ou", "alpha": [1.0]}}),
+    "table-values-number": ("vmbv", {"kernel": {"kind": "table", "values": 5}}),
+    "seed-list": ("vmbv", {"seed": [7]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_config_of_wrong_type_or_outside_grid_is_config_error(tmp_path, capsys, name):
+    """A value of the wrong type, or a cell the grid does not have, raises
+    ConfigError while the config is read or its processes are built, and
+    the command line exits 2 with one line on stderr, the same on a rerun."""
+    command, overrides = BAD_CONFIGS[name]
+    obj = cfg_with(**overrides)
+    with pytest.raises(ConfigError):
+        parse_config(obj).integrand()
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(obj))
+    errors = []
+    for rerun in range(2):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / str(rerun))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert not list(tmp_path.glob("*/*"))
+
+
+@pytest.mark.parametrize("values", [[[1.0]], [], [[0.0, 1.0], [1.0]], [[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]]],
+                         ids=["one-node", "empty", "ragged", "not-square"])
+def test_table_kernel_needs_a_square_table_of_two_nodes(tmp_path, capsys, values):
+    with pytest.raises(ValueError, match="square table"):
+        TableKernel.from_array(values, 1.0)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg_with(kernel={"kind": "table", "values": values})))
+    assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 SWEEP_BUILDERS = {

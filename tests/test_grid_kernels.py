@@ -4,6 +4,7 @@ import json
 import math
 import re
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from chaoscalc import (
     sym_store,
     truncate,
 )
+import chaoscalc.kernels as kernels_mod
 from chaoscalc.chaos import order_weighted_sum
 from chaoscalc.testing import random_chaos_vector, random_sym_kernel, rng_from
 
@@ -376,6 +378,36 @@ def test_densify_limit_raises_representation_limit_error():
         LayeredKernel.prefix_constant(12, g, 1.0, 32).to_sparse()
     with pytest.raises(RepresentationLimitError):
         TimeSlotSymKernel(6, g, np.ones((32, 32))).to_sparse()
+
+
+def test_densify_limit_counts_the_listed_multisets(monkeypatch):
+    """The limit is checked against the multisets that are listed: a kernel
+    of exactly ``_DENSIFY_LIMIT`` multisets densifies, one more raises with
+    the true count, and a one-multiset kernel densifies at a limit of 1."""
+    from chaoscalc import RepresentationLimitError
+
+    g = make_grid(1.0, 8)
+    k = LayeredKernel.prefix_constant(3, g, 1.5, 5)  # top cell 4
+    count = math.comb(4 + 3, 3)
+    monkeypatch.setattr(kernels_mod, "_DENSIFY_LIMIT", count)
+    assert len(k.to_sparse().entries) == count
+    monkeypatch.setattr(kernels_mod, "_DENSIFY_LIMIT", count - 1)
+    with pytest.raises(RepresentationLimitError, match=rf"\({count} multisets\)"):
+        k.to_sparse()
+    monkeypatch.setattr(kernels_mod, "_DENSIFY_LIMIT", 1)
+    assert LayeredKernel.prefix_constant(2, g, 1.5, 1).to_sparse().entries == {(0, 0): 1.5}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_multisets_list_every_sorted_tuple_in_lexicographic_order(order):
+    for top in range(-1, 6):
+        live = np.zeros(8, dtype=bool)
+        live[:top + 1:2] = True
+        live[max(top, 0)] = top >= 0
+        want = list(combinations_with_replacement(range(top + 1), order))
+        got = kernels_mod._multisets(order, live)
+        assert got.shape == (len(want), order)
+        assert [tuple(row) for row in got.tolist()] == want
 
 
 STORAGE_FORMS = {

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import chaoscalc.kernels as kernels_mod
 import chaoscalc.operators as operators_mod
 import chaoscalc.stacked as stacked_mod
 import chaoscalc.vmbv as vmbv_mod
@@ -190,6 +191,27 @@ def test_stacked_integral_high_order_contraction_weights():
     got = integrate_sigma(phi, vol, kernel, 1.0)
     want = composed_integral(phi, kernel, 1.0, pointwise, vol)
     assert got.value.max_order() == 4 + 21 + 1
+    for g, w in zip((got.value, got.skorohod_part, got.drift_part), want):
+        assert per_order_error(g, w) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["sigma", "wick"])
+def test_layered_rows_at_random_cells_densify_at_their_own_order(monkeypatch, mode):
+    """A layered volatility row at a cell where the integrand is random is
+    densified at its own order n, not carried to the order-(n+1) time-slot
+    table of the Skorohod step: with the densify limit between the two
+    counts the integral still computes, and matches the composition."""
+    integrate, product = MODES[mode]
+    grid = make_grid(1.0, 8)
+    phi = random_chaos_process(grid, 2, rng_from(88))
+    vol = donsker_process(grid, 2, grid.t_left(2))
+    top = max(int(np.flatnonzero(k.layers)[-1]) for s in range(grid.cells)
+              for k in vol.at(s).components.values() if isinstance(k, LayeredKernel))
+    limit = math.comb(grid.cells - 1 + 5, 5) - 1  # the order-5 table would not densify
+    assert math.comb(top + 4, 4) <= limit  # every order-4 layered row does
+    monkeypatch.setattr(kernels_mod, "_DENSIFY_LIMIT", limit)
+    got = integrate(phi, vol, OuKernel(alpha=1.0))
+    want = composed_integral(phi, OuKernel(alpha=1.0), 1.0, product, vol)
     for g, w in zip((got.value, got.skorohod_part, got.drift_part), want):
         assert per_order_error(g, w) <= 1e-12
 
