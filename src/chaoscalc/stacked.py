@@ -205,7 +205,7 @@ def _cell_blocks(stacks: list[_OrderStack], both: np.ndarray):
     width = 0
     for stack in stacks:
         if stack.layered:
-            live = np.flatnonzero((stack.rows[both] != 0.0).any(axis=0))
+            live = np.flatnonzero(stack.rows[both].any(axis=0))
             if live.size:
                 width += math.comb(int(live[-1]) + stack.order, stack.order)
     size = max(1, 4 * _ENTRY_BLOCK // width) if width else len(both)
