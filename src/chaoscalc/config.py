@@ -31,12 +31,15 @@ class ConfigError(ValueError):
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)`` for a config number; anything else is a ConfigError
-    naming ``where``."""
+    """``kind(value)`` for a config number; anything else, and a float that
+    is not finite, is a ConfigError naming ``where``."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from e
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{where} must be finite, got {out}")
+    return out
 
 
 def _numbers(value, where: str, kind=float) -> list:
@@ -92,15 +95,13 @@ class ExperimentConfig:
     def kernel(self) -> VolterraKernel:
         return kernel_from_config(self.kernel_config, horizon=self.grid.horizon)
 
-    def integrand(self, grid: GridSpec | None = None) -> ChaosProcess:
-        return build_process(self.integrand_config, grid or self.grid, self.seed, self.t)
+    def integrand(self) -> ChaosProcess:
+        return build_process(self.integrand_config, self.grid, self.seed, self.t)
 
-    def volatility(self, grid: GridSpec | None = None) -> ChaosProcess | None:
+    def volatility(self) -> ChaosProcess | None:
         if self.volatility_mode == "none":
             return None
-        return build_process(
-            self.volatility_config, grid or self.grid, self.seed + 1, self.t
-        )
+        return build_process(self.volatility_config, self.grid, self.seed + 1, self.t)
 
 
 def _validate_kernel(cfg: dict):
@@ -176,21 +177,22 @@ def build_process(cfg: dict, grid: GridSpec, seed: int, t: float) -> ChaosProces
                 values.append(vec)
         return ChaosProcess.from_values(grid, values)
     if builder == "random":
-        rng = rng_from(seed)
+        max_order = _number(cfg["max_order"], "random: max_order", int)
+        entries = _number(cfg.get("entries", 2), "random: entries", int)
+        if max_order < 0:
+            raise ConfigError(f"random: max_order must be >= 0, got {max_order}")
+        if entries < 1:
+            raise ConfigError(f"random: entries must be >= 1, got {entries}")
         support = cfg.get("support")
         if support is not None:
             support = _numbers(support, "random: support", int)
             outside = [c for c in support if not 0 <= c < grid.cells]
             if outside:
                 raise ConfigError(f"random: support cell {outside[0]} outside grid with {grid.cells} cells")
-        return random_chaos_process(
-            grid,
-            _number(cfg["max_order"], "random: max_order", int),
-            rng,
-            n_entries=_number(cfg.get("entries", 2), "random: entries", int),
-            cells=support,
-            scale=_number(cfg.get("scale", 1.0), "random: scale"),
-        )
+            if not support and max_order >= 1:
+                raise ConfigError("random: support must be non-empty when max_order >= 1")
+        return random_chaos_process(grid, max_order, rng_from(seed), n_entries=entries, cells=support,
+                                    scale=_number(cfg.get("scale", 1.0), "random: scale"))
     raise ConfigError(f"unknown builder {builder!r}")
 
 
@@ -229,8 +231,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     lambdas = tuple(_numbers(obj["lambdas"], "lambdas"))
     if not lambdas:
         raise ConfigError("lambdas must be non-empty")
-    if not all(math.isfinite(lam) for lam in lambdas):
-        raise ConfigError(f"lambdas must be finite, got {list(lambdas)}")
     truncation = obj.get("truncation")
     if truncation is not None:
         truncation = _number(truncation, "truncation", int)

@@ -227,9 +227,6 @@ class SymKernel:
 
     # -- basic queries -----------------------------------------------------
 
-    def coeff(self, tup: tuple[int, ...]) -> float:
-        return self.entries.get(tuple(sorted(tup)), 0.0)
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -314,44 +311,6 @@ class SymKernel:
                 out[remove_once(tup, (cell,))] = c
         return SymKernel(self.order - 1, self.grid, out)
 
-    def tensor_sym(self, other) -> "SymKernel":
-        """Symmetrized tensor product with another kernel: the contraction
-        of no slot pairs."""
-        return self.contract_sym(other, 0)
-
-    def contract_sym(self, other, k: int) -> "SymKernel":
-        """Contract ``k`` slot pairs (step-weighted sums), then symmetrize.
-
-        The one product loop over pairs of entries.  Each left tuple is split
-        once into its ``k``-sub-multisets, the rest and the weight
-        ``multiplicity(sub) * step**k``; at ``k = 0`` the split is the tuple
-        itself with weight 1."""
-        other = other.to_sparse()
-        same_grid(self.grid, other.grid)
-        n, m = self.order, other.order
-        if k < 0 or k > min(n, m):
-            raise ValueError(f"cannot contract {k} slots of orders {n}, {m}")
-        out: dict[tuple[int, ...], float] = {}
-        step_k = self.grid.step ** k
-        denom = math.comb(n + m - 2 * k, n - k)
-        for ta, ca in self.entries.items():
-            splits = [((), ta, 1.0)] if k == 0 else [
-                (c_ms, remove_once(ta, c_ms), multiplicity(c_ms) * step_k)
-                for c_ms in set(combinations(ta, k))]
-            for tb, cb in other.entries.items():
-                for c_ms, x, weight in splits:
-                    y = tb
-                    if c_ms:
-                        if any(tb.count(v) < c_ms.count(v) for v in set(c_ms)):
-                            continue
-                        y = remove_once(tb, c_ms)
-                    w = tuple(sorted(x + y))
-                    comb_w = 1
-                    for v in set(x):
-                        comb_w *= math.comb(w.count(v), x.count(v))
-                    out[w] = out.get(w, 0.0) + ca * cb * weight * comb_w / denom
-        return SymKernel(n + m - 2 * k, self.grid, out)
-
     # -- transforms -----------------------------------------------------------
 
     def s_transform(self, xi: np.ndarray) -> float:
@@ -388,7 +347,10 @@ class SymKernel:
                 raise ValueError(f"tuple {tup} not in canonical sorted form")
             if tup and (tup[0] < 0 or tup[-1] >= grid.cells):
                 raise ValueError(f"tuple {tup} has a cell outside grid with {grid.cells} cells")
-            ent[tup] = ent.get(tup, 0.0) + float(c)
+            c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"tuple {tup} has a non-finite coefficient {c}")
+            ent[tup] = ent.get(tup, 0.0) + c
         return SymKernel(order, grid, ent)
 
     def __repr__(self):
@@ -539,7 +501,10 @@ class LayeredKernel:
     @staticmethod
     def from_json(obj: dict) -> "LayeredKernel":
         grid = GridSpec.from_json(obj["grid"])
-        return LayeredKernel(int(obj["order"]), grid, np.array(obj["layers"], dtype=float))
+        layers = np.array(obj["layers"], dtype=float)
+        if not np.isfinite(layers).all():
+            raise ValueError("layers must be finite")
+        return LayeredKernel(int(obj["order"]), grid, layers)
 
     def __repr__(self):
         return f"LayeredKernel(order={self.order}, cells={self.grid.cells})"

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec, same_grid
-from .kernels import LayeredKernel, SymKernel, TimeSlotSymKernel
+from .kernels import LayeredKernel, SymKernel, TimeSlotSymKernel, multiplicity, remove_once
 
 
 @dataclass(frozen=True)
@@ -157,54 +158,79 @@ def pettis_time_integral(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
     return ChaosVector(grid, {n: k.scale(grid.step) for n, k in sums.items()})
 
 
-def _product(phi: ChaosVector, psi: ChaosVector, max_order: int | None, contract: bool) -> ChaosVector:
-    """Sum over order pairs ``(n, m)`` and contraction orders ``k`` of
-    ``k! C(n, k) C(m, k)`` times the ``k``-contraction (the product formula
-    for multiple integrals): all ``k`` when ``contract``, else only ``k = 0``,
-    where the coefficient is 1.  When a factor has no component above order
-    0, its order-0 kernel is a scalar and each pair is that scalar times the
-    other kernel, in the other kernel's storage form; otherwise each factor
-    is densified once per order pair.  ``max_order`` drops output orders and
-    never approximates a term."""
+def _by_sub_multiset(kern: SymKernel, k: int) -> dict[tuple[int, ...], list]:
+    """The entries of a sparse kernel by their distinct ``k``-sub-multisets
+    ``c``: ``c -> [(x, coefficient * mult(x))]``, ``x`` the rest of the
+    entry's tuple, in multiplicity coordinates."""
+    out: dict[tuple[int, ...], list] = {}
+    for tup, coef in kern.entries.items():
+        for c in set(combinations(tup, k)):
+            x = remove_once(tup, c)
+            out.setdefault(c, []).append((x, coef * multiplicity(x)))
+    return out
+
+
+def _product(phi: ChaosVector, psi: ChaosVector, contract: bool) -> ChaosVector:
+    """The product formula for multiple integrals: the sum over order pairs
+    ``(n, m)`` and contraction orders ``k`` (all ``k`` when ``contract``,
+    else only ``k = 0``) of ``k! C(n, k) C(m, k)`` times the symmetrized
+    ``k``-contraction.
+
+    When a factor has no component above order 0 its order-0 kernel is a
+    scalar, which scales the other factor in its storage form.  Otherwise
+    each factor component is densified once, and each ``k`` is one join in
+    multiplicity coordinates ``d = c * mult(tuple)``, the rule of
+    ``stacked._contract``: the right entries are indexed by their
+    ``k``-sub-multisets ``c`` as ``y = b - c`` with ``d_y = c_b mult(y)``,
+    each left split ``x = a - c`` has ``d_x = c_a mult(x) mult(c) step^k``,
+    and ``k! C(n, k) C(m, k) d_x d_y`` adds to ``d_{x+y}``.  Each output
+    order is one dict, divided by the multiplicities once."""
     same_grid(phi.grid, psi.grid)
-    c_phi, c_psi = (v.expectation() if set(v.components) <= {0} else None for v in (phi, psi))
-    dense = c_phi is None and c_psi is None
-    comps: dict[int, SymKernel] = {}
-    for n, ka in phi.components.items():
-        ka = ka.to_sparse() if dense else ka
-        for m, kb in psi.components.items():
-            kb = kb.to_sparse() if dense else kb
-            for k in range(min(n, m) + 1 if contract else 1):
-                out_order = n + m - 2 * k
-                if max_order is not None and out_order > max_order:
-                    continue
-                if c_psi is not None:
-                    prod = ka.scale(c_psi)
-                elif c_phi is not None:
-                    prod = kb.scale(c_phi)
-                else:
-                    prod = ka.contract_sym(kb, k)
-                if k:
-                    prod = prod.scale(float(math.factorial(k) * math.comb(m, k) * math.comb(n, k)))
-                comps[out_order] = comps[out_order].add(prod) if out_order in comps else prod
-    return ChaosVector(phi.grid, comps)
+    grid = phi.grid
+    for scalar, other in ((psi, phi), (phi, psi)):
+        if set(scalar.components) <= {0}:
+            c = scalar.expectation()
+            return ChaosVector(grid, {n: k.scale(c) for n, k in other.components.items()})
+    left = {n: k.to_sparse() for n, k in phi.components.items()}
+    right = {m: k.to_sparse() for m, k in psi.components.items()}
+    sums: dict[int, dict[tuple[int, ...], float]] = {}
+    for k in range(min(max(left), max(right)) + 1 if contract else 1):
+        step_k = grid.step ** k
+        ys_of = {m: _by_sub_multiset(kb, k) for m, kb in right.items() if m >= k}
+        for n, ka in left.items():
+            if n < k:
+                continue
+            xs_of = _by_sub_multiset(ka, k)
+            for m, ys_by_c in ys_of.items():
+                coef = float(math.factorial(k) * math.comb(n, k) * math.comb(m, k))
+                acc = sums.setdefault(n + m - 2 * k, {})
+                for c, xs in xs_of.items():
+                    ys = ys_by_c.get(c)
+                    if ys is None:
+                        continue
+                    weight = coef * multiplicity(c) * step_k
+                    for x, dx in xs:
+                        dx *= weight
+                        for y, dy in ys:
+                            w = tuple(sorted(x + y))
+                            acc[w] = acc.get(w, 0.0) + dx * dy
+    return ChaosVector(grid, {order: SymKernel(order, grid, {w: d / multiplicity(w) for w, d in acc.items()})
+                              for order, acc in sorted(sums.items())})
 
 
-def wick(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) -> ChaosVector:
+def wick(phi: ChaosVector, psi: ChaosVector) -> ChaosVector:
     """Wick product: chaos-order convolution of symmetrized tensor products,
     the zero-contraction term of ``pointwise``."""
-    return _product(phi, psi, max_order, contract=False)
+    return _product(phi, psi, contract=False)
 
 
-def pointwise(phi: ChaosVector, psi: ChaosVector, max_order: int | None = None) -> ChaosVector:
-    """Pointwise product via the full contraction expansion.
-
-    Every admissible contraction order is computed exactly; the only effect
-    of ``max_order`` is to drop high output orders, never to approximate the
-    contraction sums themselves.  With disjoint kernel supports only the
-    zero-contraction term survives and the result equals the Wick product.
+def pointwise(phi: ChaosVector, psi: ChaosVector) -> ChaosVector:
+    """Pointwise product via the full contraction expansion, every
+    contraction order computed exactly.  With disjoint kernel supports only
+    the zero-contraction term survives and the result equals the Wick
+    product.
     """
-    return _product(phi, psi, max_order, contract=True)
+    return _product(phi, psi, contract=True)
 
 
 def s_transform(phi: ChaosVector, xi: TestFunctionXi) -> float:

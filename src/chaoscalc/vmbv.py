@@ -31,7 +31,7 @@ from .chaos import ChaosProcess, ChaosVector, linear_combine, order_weighted_sum
 from .errors import IndependenceError, IntegrabilityError, StabilityLawError, TruncationOverflowError
 from .grid import GridSpec, same_grid
 from .kernels import SymKernel
-from .operators import TestFunctionXi, derivative_at, s_transform
+from .operators import TestFunctionXi, derivative_at, s_transform, wick
 from .stacked import _integrate
 from .volterra import (
     AssumptionReport,
@@ -108,7 +108,7 @@ def _integral(phi: ChaosProcess, kernel: VolterraKernel, t: float, lambdas,
     extra = {}
     if gate is not None:
         norms = [_volatility_gate(vol, t_cell, sign * lam, gate) for lam in lambdas]
-        extra = {gate: norms[0], "sigma_max_order": vol.max_order()}
+        extra = {gate: norms[0], "sigma_max_order": _top_order(vols)}
     tables = action.tables(stacks, acted)
     reports = [tables.report(lam) for lam in lambdas]
     for report in reports:
@@ -116,11 +116,17 @@ def _integral(phi: ChaosProcess, kernel: VolterraKernel, t: float, lambdas,
         if failing is not None:
             raise IntegrabilityError(failing, f"non-finite diagnostic at lambda={report.lam}")
     if max_order is not None:
-        natural = phi.max_order() + (0 if vol is None else vol.max_order()) + 1
+        natural = _top_order(stacks) + (0 if vols is None else _top_order(vols)) + 1
         if natural > max_order:
             raise TruncationOverflowError(natural, max_order)
     value, skor, drift = _integrate(grid, t_cell, acted, vols, contract)
     return value, skor, drift, reports, extra, acted
+
+
+def _top_order(stacks: list[_OrderStack]) -> int:
+    """The highest chaos order of a process at the cells below ``t``, given
+    by its order stacks (0 when there are none)."""
+    return max((stack.order for stack in stacks), default=0)
 
 
 def _volatility_gate(vol: ChaosProcess, t_cell: int, index: float, assumption: str) -> float:
@@ -226,6 +232,12 @@ def _append_time_slot(acc: dict, kern: SymKernel, s_cell: int):
         acc[w] = acc.get(w, 0.0) + c * (tup.count(s_cell) + 1) / n1
 
 
+def _tensor(f: SymKernel, g: SymKernel) -> SymKernel:
+    """Symmetrized tensor product of two kernels: the Wick product of the
+    one-component vectors."""
+    return wick(ChaosVector.from_kernel(f), ChaosVector.from_kernel(g)).component(f.order + g.order)
+
+
 def chaos_formula_oracle(phi: ChaosProcess, kernel: VolterraKernel, t: float,
                          Sigma: ChaosProcess | None = None) -> ChaosVector:
     """Direct per-order chaos assembly of the integral.
@@ -283,11 +295,11 @@ def chaos_formula_oracle(phi: ChaosProcess, kernel: VolterraKernel, t: float,
                     if sig_k.is_zero():
                         continue
                     if n >= 1 and 0 <= n - 1 - m <= max_phi:
-                        _append_time_slot(slot_acc, act(n - 1 - m, s).tensor_sym(sig_k), s)
+                        _append_time_slot(slot_acc, _tensor(act(n - 1 - m, s), sig_k), s)
                     q = n - m
                     if 0 <= q and q + 1 <= max_phi:
                         sliced = act(q + 1, s).slice_at(s).scale(float(q + 1))
-                        drift_acc = drift_acc.add(sliced.tensor_sym(sig_k))
+                        drift_acc = drift_acc.add(_tensor(sliced, sig_k))
         add_comp(n, SymKernel(n, grid, slot_acc))
         add_comp(n, drift_acc.scale(step))
     return ChaosVector(grid, {n: k for n, k in comps.items() if not k.is_zero()})

@@ -45,3 +45,15 @@ def test_tracer_counts_the_entries_of_time_slot_values(monkeypatch):
     want = sum(int((k.phi != 0).sum()) if isinstance(k, TimeSlotSymKernel) else len(k.entries) for k in comps)
     got = tracer.stored_entries(value)
     assert type(got) is int and got == want
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    """Every function the benchmark's tracer wraps still exists, so a
+    renamed or deleted target fails here instead of zeroing a per-layer
+    metric."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    targets = tracer.SPAN_TARGETS + tracer.COUNT_TARGETS
+    assert targets
+    assert [f"{module}.{path}" for _, module, path in targets if tracer._resolve(module, path) is None] == []

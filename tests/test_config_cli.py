@@ -273,7 +273,10 @@ def test_cli_weight_overflow_exits_4_without_warning(tmp_path, capsys, recwarn, 
 GRID4 = {"horizon": 1.0, "cells": 4}
 CUSTOM_CELL9 = {"grid": {"T": 1.0, "M": 4}, "components": [
     {"order": 1, "grid": {"T": 1.0, "M": 4}, "entries": [[[9], 1.0]]}]}
-# config overrides of the wrong type or outside the grid, by subcommand
+CUSTOM_CELL_NAN = {"grid": {"T": 1.0, "M": 4}, "components": [
+    {"order": 1, "grid": {"T": 1.0, "M": 4}, "entries": [[[1], math.nan]]}]}
+# config overrides of the wrong type, not finite, outside the grid or out of
+# a builder's range, by subcommand
 BAD_CONFIGS = {
     "lambdas-number": ("vmbv", {"lambdas": 1.0}),
     "t-list": ("vmbv", {"t": [1.0]}),
@@ -296,6 +299,17 @@ BAD_CONFIGS = {
     "kernel-alpha-list": ("vmbv", {"kernel": {"kind": "ou", "alpha": [1.0]}}),
     "table-values-number": ("vmbv", {"kernel": {"kind": "table", "values": 5}}),
     "seed-list": ("vmbv", {"seed": [7]}),
+    "constant-value-nan": ("vmbv", {"grid": GRID4, "integrand": {"builder": "constant", "value": math.nan}}),
+    "wiener-weights-infinite": ("vmbv", {"grid": GRID4, "integrand": {
+        "builder": "wiener", "weights": [1.0, math.inf, 0.0, 1.0]}}),
+    "random-scale-nan": ("vmbv", {"grid": GRID4, "integrand": {"builder": "random", "max_order": 2, "scale": math.nan}}),
+    "table-node-nan": ("vmbv", {"kernel": {"kind": "table", "values": [[1.0, math.nan], [0.5, 1.0]]}}),
+    "donsker-eps-nan": ("vmbv", {"grid": GRID4, "integrand": {"builder": "donsker", "order": 2, "eps": math.nan}}),
+    "random-max-order-negative": ("vmbv", {"grid": GRID4, "integrand": {"builder": "random", "max_order": -1}}),
+    "random-entries-zero": ("vmbv", {"grid": GRID4, "integrand": {"builder": "random", "max_order": 2, "entries": 0}}),
+    "random-support-empty": ("vmbv", {"grid": GRID4, "integrand": {"builder": "random", "max_order": 1, "support": []}}),
+    "custom-coefficient-nan": ("vmbv", {"grid": GRID4, "integrand": {
+        "builder": "custom", "cells": [None, None, None, CUSTOM_CELL_NAN]}}),
 }
 
 

@@ -354,7 +354,7 @@ def test_pointwise_hermite_square():
     prod = pointwise(f, f)
     assert prod.expectation() == pytest.approx(1.0, rel=1e-13)
     two = prod.component(2)
-    want = f.component(1).tensor_sym(f.component(1))
+    want = wick(f, f).component(2)
     assert two.add(want.scale(-1.0)).norm_sq() < 1e-26
 
 
@@ -416,14 +416,6 @@ def test_wick_of_brownian_and_time_slot_vector():
     slot = ChaosVector(GRID, {2: TimeSlotSymKernel(2, GRID, rng.standard_normal((GRID.cells, GRID.cells)))})
     got = dense_vector(wick(b, slot))
     assert compare_dense(GRID, got, dense_wick(GRID, dense_vector(b), dense_vector(slot))) < 1e-12
-
-
-def test_product_truncation_cap():
-    rng = rng_from(83)
-    a = random_chaos_vector(GRID, 2, rng)
-    b = random_chaos_vector(GRID, 2, rng)
-    capped = pointwise(a, b, max_order=2)
-    assert all(n <= 2 for n in capped.orders())
 
 
 # -- product rules and the two exact calculus identities -------------------------

@@ -12,6 +12,7 @@ import pytest
 import chaoscalc.donsker as donsker_mod
 import chaoscalc.stacked as stacked_mod
 import chaoscalc.vmbv as vmbv_mod
+import chaoscalc.volterra as volterra_mod
 from chaoscalc import (
     ChaosProcess,
     ChaosVector,
@@ -350,6 +351,19 @@ def test_truncation_cap_raises():
         integrate_sigma(proc, sig, OuKernel(alpha=1.0), 1.0, max_order=3)
 
 
+def test_order_cap_counts_only_cells_below_t():
+    """The cap compares against the orders of the cells below ``t``: order-4
+    values at and above ``t`` never enter the integral."""
+    rng = rng_from(3)
+    proc = ChaosProcess.from_values(GRID, [random_chaos_vector(GRID, 1 if j < 4 else 4, rng) for j in range(8)])
+    res = integrate_plain(proc, OuKernel(alpha=1.0), 0.5)
+    assert res.value.max_order() == 2
+    capped = integrate_plain(proc, OuKernel(alpha=1.0), 0.5, max_order=2)
+    assert capped.value.to_json() == res.value.to_json()
+    with pytest.raises(TruncationOverflowError):
+        integrate_plain(proc, OuKernel(alpha=1.0), 0.5, max_order=1)
+
+
 def test_s_transform_oracle_plain():
     rng = rng_from(239)
     proc = ChaosProcess.constant(GRID, ChaosVector.deterministic(GRID, 1.0))
@@ -382,6 +396,33 @@ def test_s_transform_oracle_seeded_and_wick():
         lhs_w = s_transform(res_w.value, xi)
         rhs_w = s_transform_oracle(proc, k, 1.0, xi, Sigma=sig)
         assert lhs_w == pytest.approx(rhs_w, rel=1e-10, abs=1e-12)
+
+
+def test_oracles_call_no_pipeline_code(monkeypatch):
+    """Both oracles reproduce the integrals with every stage of the
+    pipeline (kernel action, order stacks, stacked integral) disabled."""
+    rng = rng_from(251)
+    k = OuKernel(alpha=1.0)
+    cases = []
+    for _ in range(3):
+        proc = random_chaos_process(GRID, 2, rng)
+        sig = random_chaos_process(GRID, 2, rng)
+        xi = TestFunctionXi.from_values(GRID, 0.5 * rng.standard_normal(GRID.cells))
+        cases.append((proc, None, xi, integrate_plain(proc, k, 1.0).value))
+        cases.append((proc, sig, xi, integrate_wick(proc, sig, k, 1.0).value))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pipeline code called")
+
+    for module, name in ((stacked_mod, "_integrate"), (stacked_mod, "_products"), (vmbv_mod, "_integrate"),
+                         (vmbv_mod, "_order_stacks"), (vmbv_mod, "kernel_action")):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(volterra_mod.KernelAction, "act", forbidden)
+    monkeypatch.setattr(volterra_mod.KernelAction, "tables", forbidden)
+    for proc, sig, xi, value in cases:
+        assert rel_error(chaos_formula_oracle(proc, k, 1.0, Sigma=sig), value) < 1e-12
+        assert s_transform_oracle(proc, k, 1.0, xi, Sigma=sig) == pytest.approx(
+            s_transform(value, xi), rel=1e-10, abs=1e-12)
 
 
 def test_s_transform_oracle_at_zero_direction():
