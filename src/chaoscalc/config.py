@@ -156,8 +156,14 @@ def build_process(cfg: dict, grid: GridSpec, seed: int, t: float) -> ChaosProces
     if builder == "donsker":
         if "t" in cfg and abs(_number(cfg["t"], "donsker: t") - t) > 1e-12:
             raise ConfigError(f"donsker: builder t={cfg['t']} conflicts with experiment t={t}")
-        return donsker_process(grid, _number(cfg["order"], "donsker: order", int),
-                               _number(cfg["eps"], "donsker: eps"))
+        order = _number(cfg["order"], "donsker: order", int)
+        eps = _number(cfg["eps"], "donsker: eps")
+        if order < 0:
+            raise ConfigError(f"donsker: order must be >= 0, got {order}")
+        if not (0.0 < eps <= grid.horizon * (1 + 1e-12) and grid.is_aligned(eps) and grid.snap_down(eps) >= 1):
+            raise ConfigError(f"donsker: eps={eps} must be a whole number of cells of step {grid.step}, "
+                              f"at least one, up to the horizon")
+        return donsker_process(grid, order, eps)
     if builder == "custom":
         cells = cfg["cells"]
         count = len(cells) if isinstance(cells, list) else type(cells).__name__
@@ -211,6 +217,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(f"grid: {e}") from e
     _validate_kernel(obj["kernel"])
+    try:
+        kernel_from_config(obj["kernel"], horizon=grid.horizon)
+    except ValueError as e:  # a parameter outside its family's range
+        raise ConfigError(f"kernel: {e}") from e
     _validate_builder(obj["integrand"], "integrand")
 
     vol_obj = obj.get("volatility", {"mode": "none"})
@@ -228,6 +238,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     t = _number(obj["t"], "t")
     if not (0.0 < t <= grid.horizon * (1 + 1e-12)):
         raise ConfigError(f"t={t} outside (0, horizon]")
+    if grid.snap_down(t) < 1:
+        raise ConfigError(f"t={t} must cover at least one cell of step {grid.step}")
     lambdas = tuple(_numbers(obj["lambdas"], "lambdas"))
     if not lambdas:
         raise ConfigError("lambdas must be non-empty")

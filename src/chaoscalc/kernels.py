@@ -612,6 +612,23 @@ class TimeSlotSymKernel:
     def norm_sq(self) -> float:
         return self._gg_inner(self.phi)
 
+    def slice_at(self, cell: int) -> "TimeSlotSymKernel | SymKernel":
+        """Fix one slot at ``cell``.  No derivative factor is applied.
+
+        Of the ``q + 1`` symmetrized terms, the one whose time slot is fixed
+        leaves the layered kernel ``phi[cell, max(y)]``, and the ``q`` whose
+        layer slot is fixed leave the family ``phi[s, max(cell, r)]``: the
+        order-``q`` table ``(phi[cell, max(s, r)] + q phi[s, max(cell, r)])
+        / (q + 1)``.  At ``q = 1`` no layer slot is left, and the slice is
+        the order-1 kernel ``(phi[cell, y] + phi[y, cell]) / 2``.
+        """
+        q, phi = self._q, self.phi
+        if q == 1:
+            return SymKernel.from_cell_values(self.grid, (phi[cell] + phi[:, cell]) / 2)
+        idx = np.arange(self.grid.cells)
+        table = phi[cell, np.maximum.outer(idx, idx)] + q * phi[:, np.maximum(cell, idx)]
+        return TimeSlotSymKernel(q, self.grid, table / (q + 1))
+
     def s_transform(self, xi: np.ndarray) -> float:
         step = self.grid.step
         prefix = np.concatenate(([0.0], np.cumsum(xi) * step))

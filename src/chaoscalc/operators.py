@@ -104,10 +104,10 @@ def skorohod(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
 
     Each order-n component family becomes the order-(n+1) symmetrization of
     the tensor with the time variable as an extra slot.  Layered components
-    of order >= 2 produce the structured symmetrized form; every other
-    component accumulates canonically in one sparse time-slot accumulator.
-    An order that holds both kinds densifies its structured part into that
-    accumulator.  The outputs are stored in ascending order.
+    give the time-slot form ``TimeSlotSymKernel``, one row of its table per
+    cell; every other component accumulates canonically in one sparse
+    time-slot accumulator.  An order that holds both forms is their sum,
+    ``SymKernel.add``.  The outputs are stored in ascending order.
     """
     grid = psi.grid
     lo, hi = _snap_interval(grid, a, b)
@@ -118,9 +118,8 @@ def skorohod(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
     for j in range(lo, hi):
         vec = psi.at(j)
         for n, k in vec.components.items():
-            if isinstance(k, LayeredKernel) and n >= 2:
-                mat = layered_rows.setdefault(n, np.zeros((grid.cells, grid.cells)))
-                mat[j] += k.layers
+            if isinstance(k, LayeredKernel):
+                layered_rows.setdefault(n, np.zeros((grid.cells, grid.cells)))[j] += k.layers
                 continue
             acc = sparse_acc.setdefault(n, {})
             for tup, c in k.to_sparse().entries.items():
@@ -128,17 +127,10 @@ def skorohod(psi: ChaosProcess, a: float, b: float) -> ChaosVector:
                 weight = (tup.count(j) + 1) / (n + 1)
                 acc[w] = acc.get(w, 0.0) + c * weight
 
-    comps: dict[int, object] = {}
+    comps = {n + 1: SymKernel(n + 1, grid, acc) for n, acc in sparse_acc.items()}
     for n, mat in layered_rows.items():
         slot = TimeSlotSymKernel(n + 1, grid, mat)
-        acc = sparse_acc.get(n)
-        if acc is None:
-            comps[n + 1] = slot
-            continue
-        for tup, c in slot.to_sparse().entries.items():
-            acc[tup] = acc.get(tup, 0.0) + c
-    for n, acc in sparse_acc.items():
-        comps[n + 1] = SymKernel(n + 1, grid, acc)
+        comps[n + 1] = comps[n + 1].add(slot) if n + 1 in comps else slot
     return ChaosVector(grid, dict(sorted(comps.items())))
 
 

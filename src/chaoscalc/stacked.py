@@ -147,24 +147,20 @@ def _contraction_pairs(x: _OrderStack, v: _OrderStack, k: int):
                 yield rx[owner], rv[partner], np.hstack([restx[owner], restv[partner]]), weight
 
 
-def _contract(x: _OrderStack, v: _OrderStack, k: int, cells: np.ndarray):
+def _contract(x: _OrderStack, v: _OrderStack, k: int):
     """The ``k``-contraction term of the per-cell product of two sparse
-    stacks at the marked cells, as blocks ``(cells, unsorted tuples, d)`` of
+    stacks of the same cells, as blocks ``(cells, unsorted tuples, d)`` of
     order ``n + m - 2k``.  ``k = 0`` is the symmetrized tensor product (the
     Wick term): ``d_{a+b} += d_a d_b`` over the non-zero entries of each
     cell.  ``k >= 1`` applies each block of the pair structure to the
     non-zero entries of its keys."""
     width = x.order + v.order - 2 * k + 1
     xs, xi = np.nonzero(x.rows)
-    keep = cells[xs]
-    xs, xi = xs[keep], xi[keep]
     if k == 0:
         vs, vj = np.nonzero(v.rows)
-        keep = cells[vs]
-        vs, vj = vs[keep], vj[keep]
         xd = x.rows[xs, xi] * x.multiplicities()[xi]
         vd = v.rows[vs, vj] * v.multiplicities()[vj]
-        per_cell = np.bincount(vs, minlength=len(cells))
+        per_cell = np.bincount(vs, minlength=len(x.rows))
         first = np.cumsum(per_cell) - per_cell
         for e, off in _expand(per_cell[xs], width):
             p = first[xs[e]] + off
@@ -213,14 +209,16 @@ def _cell_blocks(stacks: list[_OrderStack], both: np.ndarray):
 
 
 def _sparse_rows(stack: _OrderStack, lo: int, hi: int, cells: np.ndarray) -> _OrderStack | None:
-    """The stack's rows ``lo:hi`` in sparse coordinates: layered rows are
-    densified at the marked cells of the block (None when none is
-    non-zero there)."""
-    block = stack.with_rows(stack.rows[lo:hi])
-    if not block.layered:
-        return block
-    hit = cells & block.rows.any(axis=1)
-    return block.densify(hit) if hit.any() else None
+    """The stack's rows ``lo:hi`` at the marked cells of the block, other
+    rows zero, in sparse coordinates: layered rows are densified there.
+    None when no row is non-zero there.  The one place that picks the
+    cells whose products ``_contract`` computes."""
+    rows = stack.rows[lo:hi]
+    hit = cells & rows.any(axis=1)
+    if not hit.any():
+        return None
+    block = stack.with_rows(rows)
+    return block.densify(hit) if block.layered else block.with_rows(np.where(hit[:, None], rows, 0.0))
 
 
 def _products(xs: list[_OrderStack], vs: list[_OrderStack], t_cell: int, contract: bool):
@@ -229,14 +227,13 @@ def _products(xs: list[_OrderStack], vs: list[_OrderStack], t_cell: int, contrac
 
     Yields ``(order, part)``.  A part is an ``_OrderStack`` of product rows
     in a factor's coordinates, or a block ``(cells, unsorted tuples, d)``.
-    As in ``wick`` and ``pointwise``, a factor's order-0 row scales the
-    other factor's rows in their storage form, except a layered row at a
-    cell where both factors are random: there layered rows are densified,
-    and a densified row times the order-0 row is the ``k = 0`` term of
-    ``_contract``, as is every pair of random rows.  So the only pair the
-    contraction loop skips is an order-0 stack with a sparse stack, which
-    the scaling covers.  The densified rows are built for blocks of cells
-    of one size (``_cell_blocks``).
+    The rule of ``operators._product``, in two cases.  At a cell where one
+    factor has no component above order 0, that factor's order-0 row scales
+    the other factor's rows in their storage form.  At a cell where both
+    factors are random, ``_contract`` joins every pair of components, for
+    ``k = 0`` only unless ``contract``; ``_sparse_rows`` puts the rows of
+    those cells in sparse coordinates, by blocks of cells of one size
+    (``_cell_blocks``).
     """
     both = _random_cells(xs, t_cell) & _random_cells(vs, t_cell)
     v0, x0 = _scalars(vs), _scalars(xs)
@@ -244,31 +241,28 @@ def _products(xs: list[_OrderStack], vs: list[_OrderStack], t_cell: int, contrac
         if factor is not None:
             for stack in stacks:
                 rows = factor * stack.rows
-                if stack.layered:
-                    rows[both] = 0.0
+                rows[both] = 0.0
                 yield stack.order, stack.with_rows(rows)
     if not both.any():
         return
     for lo, hi in _cell_blocks(xs + vs, both):
         cells = both[lo:hi]
-        gx = [_sparse_rows(x, lo, hi, cells) for x in xs]
-        gv = [_sparse_rows(v, lo, hi, cells) for v in vs]
-        for x, g in zip(xs, gx):
-            for v, h in zip(vs, gv):
-                if g is None or h is None or (min(x.order, v.order) == 0 and not (x.layered or v.layered)):
-                    continue
-                for k in range(min(x.order, v.order) + 1 if contract else 1):
-                    for s, tuples, d in _contract(g, h, k, cells):
-                        yield x.order + v.order - 2 * k, (s + lo, tuples, d)
+        gx = [g for g in (_sparse_rows(x, lo, hi, cells) for x in xs) if g is not None]
+        gv = [h for h in (_sparse_rows(v, lo, hi, cells) for v in vs) if h is not None]
+        for g in gx:
+            for h in gv:
+                for k in range(min(g.order, h.order) + 1 if contract else 1):
+                    for s, tuples, d in _contract(g, h, k):
+                        yield g.order + h.order - 2 * k, (s + lo, tuples, d)
 
 
 def _skorohod_step(grid: GridSpec, t_cell: int, parts) -> ChaosVector:
     """The Skorohod integral over the cells below ``t`` of a process given
     by ``_products`` parts: in multiplicity coordinates every entry gets
     its cell appended, ``d_{t+{s}} += d_t``, and each output order is
-    summed in one ``_SparseSum``.  Layered rows of order >= 2 give
+    summed in one ``_SparseSum``.  Layered rows give
     ``TimeSlotSymKernel(rows)``, densified into the sparse sum when an order
-    holds both forms."""
+    holds both forms, as in ``operators.skorohod``."""
     cells = grid.cells
     sums: dict[int, _SparseSum] = {}
     slots: dict[int, np.ndarray] = {}
@@ -277,11 +271,9 @@ def _skorohod_step(grid: GridSpec, t_cell: int, parts) -> ChaosVector:
             s, tuples, d = part
             sums.setdefault(n + 1, _SparseSum(n + 1)).add(np.column_stack([tuples, s]), d)
             continue
-        if part.layered and n >= 2:
+        if part.layered:
             slots.setdefault(n + 1, np.zeros((cells, cells)))[:t_cell] += part.rows
             continue
-        if part.layered:  # an order-1 layered kernel is its own tuple list
-            part = _OrderStack(grid, 1, np.arange(cells)[:, None], part.rows)
         mult = part.multiplicities()
         block = max(1, _ENTRY_BLOCK // (part.rows.shape[1] * (n + 1) + 1))
         for lo in range(0, t_cell, block):
@@ -342,6 +334,7 @@ def _integrate(grid: GridSpec, t_cell: int, acted: list[_OrderStack],
     if vols is None:
         vols = [_OrderStack(grid, 0, np.zeros((1, 0), dtype=np.int64), np.ones((t_cell, 1)))]
     skor = _skorohod_step(grid, t_cell, _products(acted, vols, t_cell, contract))
-    derivatives = [x.derivative() for x in acted if x.order > 0]
+    # a sparse stack whose tuples hold no cell below t has a derivative with no entry
+    derivatives = [d for d in (x.derivative() for x in acted if x.order > 0) if d.rows.any()]
     drift = _time_integral(grid, _products(derivatives, vols, t_cell, contract))
     return skor.add(drift), skor, drift

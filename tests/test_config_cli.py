@@ -1,17 +1,23 @@
 """Config schema validation and the command-line front end, including the
 determinism contract and exit codes."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chaoscalc
+import chaoscalc.testing
 from chaoscalc.cli import main
 from chaoscalc.config import ConfigError, parse_config
 from chaoscalc.volterra import TableKernel
@@ -276,7 +282,7 @@ CUSTOM_CELL9 = {"grid": {"T": 1.0, "M": 4}, "components": [
 CUSTOM_CELL_NAN = {"grid": {"T": 1.0, "M": 4}, "components": [
     {"order": 1, "grid": {"T": 1.0, "M": 4}, "entries": [[[1], math.nan]]}]}
 # config overrides of the wrong type, not finite, outside the grid or out of
-# a builder's range, by subcommand
+# a builder's or a kernel's range, by subcommand
 BAD_CONFIGS = {
     "lambdas-number": ("vmbv", {"lambdas": 1.0}),
     "t-list": ("vmbv", {"t": [1.0]}),
@@ -310,6 +316,14 @@ BAD_CONFIGS = {
     "random-support-empty": ("vmbv", {"grid": GRID4, "integrand": {"builder": "random", "max_order": 1, "support": []}}),
     "custom-coefficient-nan": ("vmbv", {"grid": GRID4, "integrand": {
         "builder": "custom", "cells": [None, None, None, CUSTOM_CELL_NAN]}}),
+    "t-below-one-cell": ("vmbv", {"t": 0.1}),
+    "donsker-eps-above-horizon": ("vmbv", {"grid": GRID4, "integrand": {"builder": "donsker", "order": 2, "eps": 1.5}}),
+    "donsker-eps-negative": ("vmbv", {"grid": GRID4, "integrand": {"builder": "donsker", "order": 2, "eps": -0.25}}),
+    "donsker-eps-unaligned": ("vmbv", {"grid": GRID4, "integrand": {"builder": "donsker", "order": 2, "eps": 0.3}}),
+    "donsker-eps-zero": ("vmbv", {"grid": GRID4, "integrand": {"builder": "donsker", "order": 2, "eps": 0.0}}),
+    "donsker-order-negative": ("vmbv", {"grid": GRID4, "integrand": {"builder": "donsker", "order": -1, "eps": 0.25}}),
+    "ou-alpha-zero": ("vmbv", {"kernel": {"kind": "ou", "alpha": 0.0}}),
+    "fbm-hurst-one": ("vmbv", {"kernel": {"kind": "fbm", "H": 1.0}}),
 }
 
 
@@ -332,6 +346,23 @@ def test_config_of_wrong_type_or_outside_grid_is_config_error(tmp_path, capsys, 
         errors.append(err)
     assert errors[0] == errors[1]
     assert not list(tmp_path.glob("*/*"))
+
+
+def test_cli_random_wick_volatility_at_one_cell_computes(tmp_path):
+    """At t of one cell, random integrand components whose tuples miss that
+    cell have a derivative stack with no entry; under a random Wick
+    volatility the integral computes (exit 0), the same bytes on a rerun."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg_with(
+        grid={"horizon": 1.0, "cells": 6}, kernel={"kind": "ou", "alpha": 0.5},
+        integrand={"builder": "random", "max_order": 2, "entries": 3}, t=1 / 6, lambdas=[0.0], seed=88,
+        volatility={"mode": "wick", "spec": {"builder": "random", "max_order": 1}},
+    )))
+    runs = []
+    for rerun in range(2):
+        assert main(["vmbv", "--config", str(cfg_path), "--out", str(tmp_path / str(rerun))]) == 0
+        runs.append((tmp_path / str(rerun) / "result.json").read_bytes())
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("values", [[[1.0]], [], [[0.0, 1.0], [1.0]], [[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]]],
@@ -424,3 +455,108 @@ def test_runtime_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- a fuzz over the config schema --------------------------------------------
+
+FUZZ_LAMBDAS = [0.0, 0.5, 1.0, -0.5, 50.0, -50.0]
+
+
+@st.composite
+def vmbv_configs(draw) -> dict:
+    """A config drawn from the schema: every builder, volatility mode and
+    kernel kind, on at most 8 cells with orders at most 3.  Some choices
+    are invalid, times off the grid or outside it and parameters outside
+    their ranges, so some configs are config errors."""
+    cells = draw(st.integers(1, 8))
+    grid = chaoscalc.make_grid(1.0, cells)
+    value = st.floats(-2.0, 2.0)
+    order = st.sampled_from([2, 0, -1, 1, 3])
+    cell_times = st.integers(1, cells).map(lambda j: j * grid.step)
+    time = st.one_of(cell_times, st.integers(-1, cells + 1).map(lambda j: j * grid.step),
+                     st.floats(-0.25, 1.25), cell_times)
+
+    def custom_cell():
+        kind = draw(st.sampled_from(["random", "layered", "none"]))
+        if kind == "none":
+            return None
+        if kind == "random":
+            rng = chaoscalc.testing.rng_from(draw(st.integers(0, 999)))
+            return chaoscalc.testing.random_chaos_vector(grid, draw(st.integers(0, 3)), rng, n_entries=2).to_json()
+        kernel = chaoscalc.LayeredKernel.prefix_constant(draw(st.integers(1, 3)), grid, draw(value),
+                                                          draw(st.integers(1, cells)))
+        return chaoscalc.ChaosVector.from_kernel(kernel).to_json()
+
+    def builder() -> dict:
+        name = draw(st.sampled_from(sorted(chaoscalc.config._BUILDER_KEYS)))
+        if name == "constant":
+            return {"builder": name, "value": draw(value)}
+        if name == "brownian":
+            return {"builder": name}
+        if name == "wiener":
+            return {"builder": name, "weights": draw(st.lists(value, min_size=cells, max_size=cells))}
+        if name == "donsker":
+            return {"builder": name, "order": draw(order), "eps": draw(time)}
+        if name == "custom":
+            return {"builder": name, "cells": [custom_cell() for _ in range(cells)]}
+        spec = {"builder": name, "max_order": draw(order), "entries": draw(st.sampled_from([2, 0, 1, 3])),
+                "scale": draw(value)}
+        if draw(st.booleans()):
+            spec["support"] = draw(st.lists(st.integers(0, cells - 1), max_size=cells, unique=True))
+        return spec
+
+    kind = draw(st.sampled_from(["ou", "turbulence", "fbm", "table"]))
+    if kind == "ou":
+        kernel = {"kind": kind, "alpha": draw(st.sampled_from([1.0, 0.0, 0.5, 2.0]))}
+    elif kind == "turbulence":
+        kernel = {"kind": kind, "alpha": draw(st.sampled_from([1.0, 0.0, 0.5])),
+                  "nu": draw(st.sampled_from([0.8, 0.5, 0.95]))}
+    elif kind == "fbm":
+        kernel = {"kind": kind, "H": draw(st.sampled_from([0.7, 0.0, 1.0, 0.5, 0.3]))}
+    else:
+        nodes = draw(st.sampled_from([2, 1, 3]))
+        row = st.lists(value, min_size=nodes, max_size=nodes)
+        kernel = {"kind": kind, "values": draw(st.lists(row, min_size=nodes, max_size=nodes))}
+    mode = draw(st.sampled_from(["none", "pointwise", "wick", "strongind"]))
+    obj = {"grid": {"horizon": 1.0, "cells": cells}, "kernel": kernel, "integrand": builder(),
+           "volatility": {"mode": mode, "spec": builder()}, "t": draw(time),
+           "lambdas": draw(st.lists(st.sampled_from(FUZZ_LAMBDAS), min_size=1, max_size=3)),
+           "seed": draw(st.integers(0, 999))}
+    if draw(st.booleans()):
+        obj["truncation"] = draw(st.integers(0, 8))
+    return obj
+
+
+def raises_config_error(obj: dict) -> bool:
+    try:
+        cfg = parse_config(obj)
+        cfg.integrand()
+        cfg.volatility()
+    except ConfigError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(obj=vmbv_configs())
+def test_cli_vmbv_fuzz_exit_codes_and_rerun_bytes(obj):
+    """Every config of the schema computes or exits with a documented code,
+    a rerun writes the same bytes and the same stderr, and exit 2 means
+    the config, its integrand or its volatility raised ConfigError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        runs = []
+        for rerun in range(2):
+            out = os.path.join(tmp, str(rerun))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["vmbv", "--config", path, "--out", out])
+            result = Path(out, "result.json")
+            runs.append((code, result.read_bytes() if result.exists() else None, err.getvalue()))
+    code = runs[0][0]
+    assert code in (0, 2, 3, 4), runs[0][2]
+    assert runs[0] == runs[1]
+    assert (code == 2) == raises_config_error(obj), runs[0][2]

@@ -20,6 +20,7 @@ from chaoscalc import (
     OuKernel,
     SymKernel,
     TurbulenceKernel,
+    chaos_formula_oracle,
     donsker_process,
     integrate_plain,
     integrate_sigma,
@@ -255,6 +256,122 @@ def test_point_mass_skorohod_step_keeps_time_slot_form():
     assert forms[1] is SymKernel
     assert all(forms[n] is TimeSlotSymKernel for n in (3, 5, 7, 9))
     assert all(type(res.drift_part.components[n]) is LayeredKernel for n in (1, 3, 5, 7))
+
+
+def _assembled(parts, grid, t_cell) -> list[ChaosVector]:
+    """The per-cell values of a process given by ``_products`` parts."""
+    acc = [{} for _ in range(t_cell)]
+    for n, part in parts:
+        if isinstance(part, _OrderStack):
+            for s in range(t_cell):
+                for tup, c in part.kernel(part.rows[s]).to_sparse().entries.items():
+                    acc[s].setdefault(n, Counter())[tup] += c
+            continue
+        for s, tup, d in zip(*part):
+            tup = tuple(sorted(tup.tolist()))
+            acc[s].setdefault(n, Counter())[tup] += d / kernels_mod.multiplicity(tup)
+    return [ChaosVector(grid, {n: SymKernel(n, grid, dict(e)) for n, e in cell.items()}) for cell in acc]
+
+
+@pytest.mark.parametrize("mode", ["sigma", "wick"])
+def test_products_join_every_pair_at_cells_where_both_factors_are_random(mode):
+    """Order-0, sparse and layered rows on both sides: at a cell where both
+    factors are random every product comes from ``_contract``, elsewhere a
+    factor's order-0 row scales the other's rows; each cell's product is
+    the per-call one."""
+    _, product = MODES[mode]
+    grid = make_grid(1.0, 8)
+    rng = rng_from(97)
+    phi = ChaosProcess.from_values(grid, [
+        random_chaos_vector(grid, 2, rng) if s % 3 else ChaosVector.deterministic(grid, float(rng.standard_normal()))
+        for s in range(grid.cells)])
+    vol = mixed_volatility(grid, rng)
+    xs, vs = vmbv_mod._order_stacks(phi, grid.cells), vmbv_mod._order_stacks(vol, grid.cells)
+    assert xs[0].order == 0 and vs[0].order == 0
+    both = np.array([phi.at(s).max_order() > 0 and vol.at(s).max_order() > 0 for s in range(grid.cells)])
+    assert both.any() and not both.all()
+    parts = list(stacked_mod._products(xs, vs, grid.cells, mode == "sigma"))
+    for n, part in parts:
+        if isinstance(part, _OrderStack):
+            assert not part.rows[both].any()
+        else:
+            assert both[part[0]].all()
+    assert {n for n, part in parts if not isinstance(part, _OrderStack)} >= {1, 2}
+    for s, got in enumerate(_assembled(parts, grid, grid.cells)):
+        want = product(phi.at(s), vol.at(s))
+        assert got.sub(want).gnorm(0.0) <= 1e-12 * want.gnorm(0.0)
+
+
+def layered_integrand(grid, rng) -> ChaosProcess:
+    """Order 0, layered order 1 and layered order 2 at every cell."""
+    return ChaosProcess.from_values(grid, [ChaosVector(grid, {
+        0: SymKernel.scalar(grid, float(rng.standard_normal())),
+        1: LayeredKernel(1, grid, rng.standard_normal(grid.cells)),
+        2: LayeredKernel(2, grid, rng.standard_normal(grid.cells))}) for _ in range(grid.cells)])
+
+
+def densified(vec: ChaosVector) -> ChaosVector:
+    return ChaosVector(vec.grid, {n: k.to_sparse() for n, k in vec.components.items()})
+
+
+@pytest.mark.parametrize("case", ["plain", "constant wick", "random sigma", "random wick"])
+def test_layered_rows_of_every_order_match_composition_and_oracle(case):
+    """Layered integrand rows of orders 1 and 2 beside an order-0 row, in
+    every product case; the order-1 rows give an order-2 time-slot kernel
+    in the Skorohod step wherever the volatility is deterministic."""
+    grid = make_grid(1.0, 6)
+    rng = rng_from(101)
+    phi = layered_integrand(grid, rng)
+    kernel = OuKernel(alpha=1.0)
+    vol = None
+    if case == "constant wick":
+        vol = ChaosProcess.constant(grid, ChaosVector.deterministic(grid, 1.7))
+    elif case != "plain":
+        vol = random_chaos_process(grid, 2, rng)
+    integrate, product = MODES[case.split()[-1]]
+    got = integrate(phi, vol, kernel)
+    want = composed_integral(phi, kernel, 1.0, product, vol)
+    for g, w in zip((got.value, got.skorohod_part, got.drift_part), want):
+        assert per_order_error(g, w) <= 1e-12
+    if case in ("plain", "constant wick"):
+        assert type(got.skorohod_part.components[2]) is TimeSlotSymKernel
+    if product is not pointwise:
+        oracle = chaos_formula_oracle(phi, kernel, 1.0, vol)
+        assert per_order_error(densified(got.value), oracle) <= 1e-12
+
+
+def test_skorohod_of_layered_order_1_rows_is_a_time_slot_kernel():
+    """Both Skorohod steps turn layered rows of order 1 into an order-2
+    ``TimeSlotSymKernel``, which matches the densified rows' integral."""
+    grid = make_grid(1.0, 6)
+    rng = rng_from(103)
+    rows = rng.standard_normal((grid.cells, grid.cells))
+    proc = ChaosProcess.from_values(grid, [ChaosVector.from_kernel(LayeredKernel(1, grid, r)) for r in rows])
+    per_call = operators_mod.skorohod(proc, 0.0, 1.0)
+    stack = _OrderStack(grid, 1, None, rows)
+    stacked = stacked_mod._skorohod_step(grid, grid.cells, [(1, stack)])
+    dense = operators_mod.skorohod(ChaosProcess.from_values(grid, [densified(proc.at(s)) for s in range(grid.cells)]),
+                                   0.0, 1.0)
+    for out in (per_call, stacked):
+        assert out.orders() == [2] and type(out.component(2)) is TimeSlotSymKernel
+        assert per_order_error(densified(out), dense) <= 1e-14
+
+
+def test_random_volatility_over_an_integrand_with_no_derivative_below_t():
+    """At t of one cell, an integrand whose value there lives on a later
+    cell has a derivative stack with no entry; under a random volatility
+    each mode computes order 3 and matches its oracle."""
+    grid = make_grid(1.0, 4)
+    phi = ChaosProcess.from_values(grid, [ChaosVector.from_kernel(SymKernel(1, grid, {(2,): 1.0}))]
+                                   + [ChaosVector.zero(grid)] * 3)
+    vol = ChaosProcess.constant(grid, ChaosVector.from_kernel(SymKernel(1, grid, {(0,): 1.0, (1,): 1.0})))
+    kernel = OuKernel(alpha=1.0)
+    oracle = chaos_formula_oracle(phi, kernel, 0.25, vol)
+    assert oracle.orders() == [3]
+    for integrate in (integrate_wick, integrate_strongind):
+        assert per_order_error(integrate(phi, vol, kernel, 0.25).value, oracle) <= 1e-12
+    want, _, _ = composed_integral(phi, kernel, 0.25, pointwise, vol)
+    assert per_order_error(integrate_sigma(phi, vol, kernel, 0.25).value, want) <= 1e-12
 
 
 def test_expand_blocks_stay_within_budget():

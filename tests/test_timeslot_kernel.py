@@ -5,7 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from chaoscalc import ChaosProcess, ChaosVector, LayeredKernel, TimeSlotSymKernel, make_grid, skorohod
+from chaoscalc import (
+    ChaosProcess,
+    ChaosVector,
+    LayeredKernel,
+    OuKernel,
+    SymKernel,
+    TestFunctionXi,
+    TimeSlotSymKernel,
+    derivative_at,
+    donsker_process,
+    integrate_plain,
+    make_grid,
+    s_transform_frechet,
+    skorohod,
+)
 from chaoscalc.kernels import layer_weights
 from chaoscalc.testing import rng_from
 
@@ -178,3 +192,33 @@ def test_time_slot_inner_products_match_per_cell_loops(order, cells):
     scale = _family_norm(a) * _layered_norm(g, order, layers)
     layered = LayeredKernel(order, g, layers)
     assert abs(a.inner(layered) - g_layered_inner_per_cell(a, layers)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("cells", [2, 5, 8])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_slice_matches_slice_of_densified(order, cells):
+    """The closed-form slice at every cell against the slice of the sparse
+    form: a time-slot table one order down, an order-1 kernel at order 2."""
+    g = make_grid(1.0, cells)
+    rng = rng_from(700 + 10 * order + cells)
+    slot = TimeSlotSymKernel(order, g, rng.standard_normal((cells, cells)))
+    sparse = slot.to_sparse()
+    for cell in range(cells):
+        got = slot.slice_at(cell)
+        assert isinstance(got, TimeSlotSymKernel if order > 2 else SymKernel)
+        _assert_same_entries(got.to_sparse().entries, sparse.slice_at(cell).entries)
+
+
+def test_point_mass_integral_takes_a_derivative():
+    """The integral of the point-mass process has time-slot components;
+    its derivative and the transform's Frechet derivative at every cell
+    equal those of its densified value."""
+    g = make_grid(1.0, 8)
+    value = integrate_plain(donsker_process(g, 2, 0.25), OuKernel(1.0), 1.0).value
+    assert {n for n, k in value.components.items() if isinstance(k, TimeSlotSymKernel)} == {3, 5}
+    dense = ChaosVector(g, {n: k.to_sparse() for n, k in value.components.items()})
+    xi = TestFunctionXi.from_values(g, rng_from(131).standard_normal(8))
+    for cell in range(8):
+        got, want = derivative_at(value, cell), derivative_at(dense, cell)
+        assert got.sub(want).gnorm(0.0) <= 1e-14 * want.gnorm(0.0)
+        assert s_transform_frechet(value, xi, cell) == pytest.approx(s_transform_frechet(dense, xi, cell), rel=1e-12)

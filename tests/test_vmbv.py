@@ -262,9 +262,9 @@ def test_strongind_runs_the_wick_pipeline_once(monkeypatch):
         passes["plain" if vols is None else "pointwise" if contract else "wick"] += 1
         return integrate(grid, t_cell, acted, vols, contract)
 
-    def counted_contract(x, v, k, cells):
+    def counted_contract(x, v, k):
         contractions[k] += 1
-        return contract(x, v, k, cells)
+        return contract(x, v, k)
 
     monkeypatch.setattr(vmbv_mod, "_integrate", counted_integrate)
     monkeypatch.setattr(stacked_mod, "_contract", counted_contract)
