@@ -200,7 +200,7 @@ def _run_single(cfg: ExperimentConfig) -> dict:
         "extra_diagnostics": result.extra_diagnostics,
     }
     small = all(isinstance(k, SymKernel) for k in result.value.components.values())
-    if small and sum(len(k.entries) for k in result.value.components.values()) <= 5000:
+    if small and sum(k.nnz() for k in result.value.components.values()) <= 5000:
         out["value"] = result.value.to_json()
     return out
 

@@ -40,22 +40,30 @@ from .grid import GridSpec, same_grid
 # many multisets; beyond it ``to_sparse`` raises RepresentationLimitError.
 _DENSIFY_LIMIT = 500_000
 
+# ``SymKernel.from_arrays`` keeps the canonical arrays as the storage from
+# this many live entries on, and builds the tuple -> coefficient dict below.
+_ARRAY_MIN_ENTRIES = 256
+
 
 def multiplicity(tup: tuple[int, ...]) -> int:
-    """Number of distinct orderings of a sorted tuple: n! / prod(counts!)."""
+    """Number of distinct orderings of a sorted tuple: n! / prod(counts!).
+    One factorial per run of two or more equal cells, none when every cell
+    is distinct."""
     n = len(tup)
     if n <= 1:
         return 1
     m = math.factorial(n)
     run = 1
-    for i in range(1, n):
-        if tup[i] == tup[i - 1]:
+    prev = tup[0]
+    for v in tup[1:]:
+        if v == prev:
             run += 1
         else:
-            m //= math.factorial(run)
-            run = 1
-    m //= math.factorial(run)
-    return m
+            if run > 1:
+                m //= math.factorial(run)
+                run = 1
+            prev = v
+    return m // math.factorial(run) if run > 1 else m
 
 
 def run_lengths(tuples: np.ndarray) -> np.ndarray:
@@ -173,20 +181,31 @@ def _splits(tuples: np.ndarray, k: int):
 
 
 class SymKernel:
-    """Canonical sparse symmetric kernel: sorted tuple -> coefficient."""
+    """Canonical sparse symmetric kernel: sorted tuple -> coefficient.
 
-    __slots__ = ("order", "grid", "entries")
+    A kernel holds one of two forms.  Built from a dict, or by
+    ``from_arrays`` with fewer than ``_ARRAY_MIN_ENTRIES`` live entries, it
+    holds the dict.  Built by ``from_arrays`` with at least that many, it
+    holds the canonical arrays, and ``entries`` builds the dict from them
+    on first read; ``norm_sq``, ``add``, ``scale``, ``arrays``,
+    ``support_cells`` and ``to_json`` run on the arrays.  Kernels are
+    immutable, so the dict and the sorted ``arrays()`` are cached.
+    """
+
+    __slots__ = ("order", "grid", "_entries", "_rows", "_sorted")
 
     def __init__(self, order: int, grid: GridSpec, entries: dict[tuple[int, ...], float] | None = None):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         self.order = order
         self.grid = grid
-        self.entries = {}
+        self._entries = out = {}
+        self._rows = None
+        self._sorted = None
         if entries:
             for tup, c in entries.items():
                 if c != 0.0:
-                    self.entries[tup] = c
+                    out[tup] = c
 
     # -- constructors -----------------------------------------------------
 
@@ -202,15 +221,24 @@ class SymKernel:
     def from_arrays(order: int, grid: GridSpec, tuples: np.ndarray, coef: np.ndarray) -> "SymKernel":
         """Kernel from a canonical COO form: an ``(nnz, order)`` matrix of
         distinct sorted tuples and their coefficients.  Zero coefficients are
-        dropped by one mask, and the entries keep the row order, so rows in
-        lexicographic order give a kernel whose ``arrays()`` needs no sort."""
+        dropped by one mask.  From ``_ARRAY_MIN_ENTRIES`` live entries on the
+        kernel holds the masked arrays (read-only); below, it holds a dict in
+        row order.  Rows in lexicographic order give a kernel whose
+        ``arrays()`` needs no sort."""
         out = SymKernel(order, grid)
         live = coef != 0.0
         if order == 0:
             if live.any():
-                out.entries[()] = float(coef[live][0])
+                out._entries[()] = float(coef[live][0])
             return out
-        out.entries = dict(zip(zip(*tuples[live].T.tolist()), coef[live].tolist()))
+        tuples, coef = tuples[live], coef[live]
+        if len(coef) < _ARRAY_MIN_ENTRIES:
+            out._entries = dict(zip(zip(*tuples.T.tolist()), coef.tolist()))
+            return out
+        tuples.flags.writeable = False
+        coef.flags.writeable = False
+        out._entries = None
+        out._rows = (tuples, coef)
         return out
 
     @staticmethod
@@ -227,12 +255,28 @@ class SymKernel:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def entries(self) -> dict[tuple[int, ...], float]:
+        """Sorted tuple -> coefficient.  A kernel that holds arrays builds
+        the dict on first read, in row order."""
+        if self._entries is None:
+            tuples, coef = self._rows
+            self._entries = dict(zip(zip(*tuples.T.tolist()), coef.tolist()))
+        return self._entries
+
+    def nnz(self) -> int:
+        """Number of stored coefficients, read from the form the kernel holds."""
+        return len(self._entries) if self._rows is None else len(self._rows[1])
+
     def is_zero(self) -> bool:
-        return not self.entries
+        # a kernel that holds arrays holds at least _ARRAY_MIN_ENTRIES of them
+        return self._rows is None and not self._entries
 
     def support_cells(self) -> set[int]:
+        if self._rows is not None:
+            return set(np.unique(self._rows[0]).tolist())
         cells: set[int] = set()
-        for tup in self.entries:
+        for tup in self._entries:
             cells.update(tup)
         return cells
 
@@ -242,36 +286,56 @@ class SymKernel:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical COO form: the ``(nnz, order)`` int tuple matrix, rows in
-        lexicographic order, and the matching coefficient vector."""
-        nnz = len(self.entries)
-        tuples = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
-                             count=nnz * self.order).reshape(nnz, self.order)
-        coef = np.fromiter(self.entries.values(), dtype=float, count=nnz)
-        if self.order == 0 or nnz < 2:
-            return tuples, coef
-        # sort only when some consecutive pair of rows is out of order: the
-        # first column where two neighbours differ decides their order
-        step = tuples[1:] - tuples[:-1]
-        first = (step != 0).argmax(axis=1)
-        if (step[np.arange(nnz - 1), first] > 0).all():
-            return tuples, coef
-        rank = np.lexsort(tuples.T[::-1])
-        return tuples[rank], coef[rank]
+        lexicographic order, and the matching coefficient vector.  Computed
+        once; the arrays are read-only."""
+        if self._sorted is not None:
+            return self._sorted
+        if self._rows is not None:
+            tuples, coef = self._rows
+        else:
+            nnz = len(self._entries)
+            tuples = np.fromiter(chain.from_iterable(self._entries), dtype=np.int64,
+                                 count=nnz * self.order).reshape(nnz, self.order)
+            coef = np.fromiter(self._entries.values(), dtype=float, count=nnz)
+        if self.order > 0 and len(coef) > 1:
+            # sort only when some consecutive pair of rows is out of order: the
+            # first column where two neighbours differ decides their order
+            step = tuples[1:] - tuples[:-1]
+            first = (step != 0).argmax(axis=1)
+            if not (step[np.arange(len(step)), first] > 0).all():
+                rank = np.lexsort(tuples.T[::-1])
+                tuples, coef = tuples[rank], coef[rank]
+        tuples.flags.writeable = False
+        coef.flags.writeable = False
+        self._sorted = (tuples, coef)
+        return self._sorted
 
     # -- linear structure ---------------------------------------------------
 
     def scale(self, a: float) -> "SymKernel":
         if a == 0.0:
             return SymKernel(self.order, self.grid)
-        return SymKernel(self.order, self.grid, {t: a * c for t, c in self.entries.items()})
+        if self._rows is not None:
+            tuples, coef = self._rows
+            return SymKernel.from_arrays(self.order, self.grid, tuples, a * coef)
+        return SymKernel(self.order, self.grid, {t: a * c for t, c in self._entries.items()})
 
     def add(self, other) -> "SymKernel":
+        """Sum of two kernels of one order.  When either holds arrays, the
+        sum runs on ``arrays()`` (one ``unique_rows`` and one ``bincount``,
+        which adds each tuple's coefficients in the order the dict loop
+        does) and returns through ``from_arrays``."""
         other = other.to_sparse()
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
         same_grid(self.grid, other.grid)
-        out = dict(self.entries)
-        for t, c in other.entries.items():
+        if self._rows is not None or other._rows is not None:
+            (t1, c1), (t2, c2) = self.arrays(), other.arrays()
+            tuples, index = unique_rows(np.concatenate([t1, t2]))
+            coef = np.bincount(index, weights=np.concatenate([c1, c2]), minlength=len(tuples))
+            return SymKernel.from_arrays(self.order, self.grid, tuples, coef)
+        out = dict(self._entries)
+        for t, c in other._entries.items():
             s = out.get(t, 0.0) + c
             if s == 0.0:
                 out.pop(t, None)
@@ -282,8 +346,14 @@ class SymKernel:
     # -- metric -------------------------------------------------------------
 
     def norm_sq(self) -> float:
+        """``step**n`` times the sum of ``multiplicity * c**2``, summed in the
+        order of the entries; on held arrays the terms come from
+        ``multiplicities`` and are summed in row order."""
         w = self.grid.step ** self.order
-        return w * sum(multiplicity(t) * c * c for t, c in self.entries.items())
+        if self._rows is not None:
+            tuples, coef = self._rows
+            return w * sum((multiplicities(tuples) * coef * coef).tolist())
+        return w * sum(multiplicity(t) * c * c for t, c in self._entries.items())
 
     def inner(self, other) -> float:
         if isinstance(other, LayeredKernel):
@@ -327,7 +397,13 @@ class SymKernel:
     # -- io --------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        ents = sorted(self.entries.items())
+        """Entries in lexicographic order; on held arrays the rows of
+        ``arrays()``, which is the order ``sorted(entries.items())`` gives."""
+        if self._rows is not None:
+            tuples, coef = self.arrays()
+            ents = zip(tuples.tolist(), coef.tolist())
+        else:
+            ents = sorted(self._entries.items())
         return {
             "order": self.order,
             "grid": self.grid.to_json(),
@@ -354,7 +430,7 @@ class SymKernel:
         return SymKernel(order, grid, ent)
 
     def __repr__(self):
-        return f"SymKernel(order={self.order}, entries={len(self.entries)})"
+        return f"SymKernel(order={self.order}, entries={self.nnz()})"
 
 
 def sym_store(order: int, raw_entries, grid: GridSpec, mode: str = "canonical") -> SymKernel:

@@ -5,6 +5,7 @@ written."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chaoscalc import (
@@ -16,6 +17,7 @@ from chaoscalc import (
     integrate_wick,
     make_grid,
 )
+from chaoscalc.kernels import _ARRAY_MIN_ENTRIES, _multisets
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,6 +47,33 @@ def test_tracer_counts_the_entries_of_time_slot_values(monkeypatch):
     want = sum(int((k.phi != 0).sum()) if isinstance(k, TimeSlotSymKernel) else len(k.entries) for k in comps)
     got = tracer.stored_entries(value)
     assert type(got) is int and got == want
+
+
+def test_tracer_counts_an_array_held_sparse_kernel(monkeypatch):
+    """``stored_entries`` reads ``comp.entries``, which a kernel holding its
+    canonical arrays builds on first read: the count is the number of live
+    rows.  The tracer counts kernels by wrapping ``SymKernel.__init__``, so
+    ``from_arrays`` must still go through it, once per kernel."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    grid = make_grid(1.0, 32)
+    tuples = _multisets(2, np.ones(grid.cells, dtype=bool))
+    coef = np.arange(len(tuples), dtype=float) % 5  # every fifth row is zero
+    live = int(np.count_nonzero(coef))
+    assert live >= _ARRAY_MIN_ENTRIES
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.begin_op()
+        k = SymKernel.from_arrays(2, grid, tuples, coef)
+        t.end_op()
+    finally:
+        t.uninstall()
+    assert t.counts["kernels.SymKernel.created"] == 1
+    assert k._entries is None  # the kernel holds its arrays
+    got = tracer.stored_entries(ChaosVector.from_kernel(k))
+    assert type(got) is int and got == live == k.nnz()
 
 
 def test_tracer_targets_resolve(monkeypatch):

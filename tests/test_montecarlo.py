@@ -289,6 +289,23 @@ def test_multiplicities_match_scalar():
     assert int(got.max()) == math.comb(22, 11)
 
 
+@pytest.mark.parametrize("n", range(26))
+def test_multiplicities_and_scalar_multiplicity_agree_through_order_25(n):
+    """Every order from 0 to 25, int64 through order 20 and Python integers
+    above: random rows, a row of one cell repeated and a row of distinct
+    cells, against ``n! / prod(count!)`` from the cell counts."""
+    rng = rng_from(300 + n)
+    rows = [sorted(rng.integers(0, 4, size=n).tolist()) for _ in range(20)]
+    rows += [[3] * n, list(range(n))]
+    got = multiplicities(np.array(rows, dtype=np.int64).reshape(len(rows), n))
+    assert got.dtype == (np.int64 if n <= 20 else object)
+    want = [math.factorial(n) // math.prod(math.factorial(row.count(c)) for c in set(row))
+            for row in rows]
+    assert [int(m) for m in got] == want
+    assert [multiplicity(tuple(row)) for row in rows] == want
+    assert want[-2:] == [1, math.factorial(n)]
+
+
 def test_arrays_canonical_order():
     k = SymKernel(2, GRID, {(3, 4): 1.0, (0, 5): 2.0, (1, 1): 3.0, (0, 2): 4.0})
     tuples, coef = k.arrays()
