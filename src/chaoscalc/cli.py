@@ -100,7 +100,10 @@ def _run_fbm_cov(args) -> int:
     pairs = []
     for chunk in args.pairs.split(","):
         t_str, s_str = chunk.split(":")
-        pairs.append((float(t_str), float(s_str)))
+        t, s = float(t_str), float(s_str)
+        if not 0.0 < s < t <= grid.horizon:
+            raise ConfigError(f"--pairs: need 0 < s < t <= {grid.horizon}, got t={t}, s={s}")
+        pairs.append((t, s))
     rows = []
     for H in hursts:
         k = FbmKernel(H=H)

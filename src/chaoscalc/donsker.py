@@ -149,14 +149,16 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
     """
     spec = DonskerSpec(t=t, N=N, eps=eps)
     spec.validate(grid)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if isinstance(lambdas, (int, float)):
+        lambdas = [float(lambdas)]
+    if not all(math.isfinite(lam) for lam in lambdas):
+        raise ValueError(f"lambdas must be finite, got {list(lambdas)}")
     kernel = OuKernel(alpha) if alpha > 0 else FbmKernel(0.5)
     proc = donsker_process(grid, N, eps)
     t_cell = grid.snap_down(t)
 
-    if isinstance(lambdas, (int, float)):
-        lambdas = [float(lambdas)]
     # one integral gates every weight index from the same diagnostic tables
     value, _, _, reports, _, acted = _integral(proc, kernel, t, lambdas)
 

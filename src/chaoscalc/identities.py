@@ -38,6 +38,10 @@ def chaos_rel_error(a: ChaosVector, b: ChaosVector) -> float:
 def identity_residuals(grid: GridSpec, seed: int, n_draws: int = 50,
                        max_order: int = 3) -> dict[str, float]:
     """Max relative residual per identity over ``n_draws`` seeded draws."""
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
     rng = rng_from(seed)
     res = {
         "ftc": 0.0,

@@ -1,12 +1,13 @@
 """The stochastic integral on order stacks.
 
-A process enters as its order stacks (``volterra._OrderStack``): one chaos
-order, one row per cell below the horizon, in one shared set of
-coordinates.  ``_integrate`` takes the stacks of the kernel action and of
-the volatility to the Skorohod step and the drift integral with one pass per
-(integrand order, volatility order, contraction order) over all cells.  In
-multiplicity coordinates ``d = c * multiplicity(tuple)`` every step is a
-multiset union:
+A process enters as its order stacks (``_OrderStack``, built by
+``_order_stacks``): one chaos order, one row per cell below the horizon, in
+one shared set of coordinates.  ``volterra.KernelAction`` maps them and
+reads the diagnostics off them.  ``_integrate`` takes the stacks of the
+kernel action and of the volatility to the Skorohod step and the drift
+integral with one pass per (integrand order, volatility order, contraction
+order) over all cells.  In multiplicity coordinates
+``d = c * multiplicity(tuple)`` every step is a multiset union:
 
 * the Wick term is ``d_w = sum_{a+b=w} d_a d_b``;
 * the Skorohod step appends the cell, ``d_{t+{s}} += d_t``, because
@@ -19,21 +20,23 @@ multiset union:
 Each output order is reduced to distinct tuples by sorting them, encoded as
 one integer each, and summing; the sum is divided by the multiplicities
 once.  Entries, the pair structure of a contraction and densified layered
-rows are built in blocks of about ``_ENTRY_BLOCK`` elements, and pending
-entries are reduced at that size.  The per-cell operators of
-``operators`` compute the same on dict kernels; the tests compare the two.
+rows are built in blocks of about ``_ENTRY_BLOCK`` elements.  An order that
+holds a structured part beside its sparse sum is merged with
+``SymKernel.add``.  The per-cell operators of ``operators`` compute the
+same on dict kernels; the tests compare the two.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
-from .chaos import ChaosVector
+from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec
-from .kernels import LayeredKernel, SymKernel, TimeSlotSymKernel, _splits, multiplicities, unique_rows
-from .volterra import _OrderStack
+from .kernels import (LayeredKernel, SymKernel, TimeSlotSymKernel, _multisets, _splits, layer_weights,
+                      multiplicities, unique_rows)
 
 # Elements per temporary array of the stacked integral; larger products,
 # pair structures and densified stacks are built in blocks.
@@ -47,17 +50,138 @@ def _multiplicities(tuples: np.ndarray) -> np.ndarray:
     return multiplicities(tuples).astype(float)
 
 
+class _OrderStack:
+    """The order-``n`` components of a process at the cells below ``t``, one
+    row per cell in shared coordinates.
+
+    The coordinates are the layers (``tuples`` is None) when every component
+    is layered, else the canonical tuples: an ``(K, n)`` matrix of distinct
+    sorted tuples in lexicographic order, with ``rows[s, j]`` the coefficient
+    of tuple ``j`` at cell ``s``.  Layered and time-slot components of a
+    sparse stack are densified, as adding them to a sparse kernel would.
+    """
+
+    __slots__ = ("grid", "order", "tuples", "rows", "_mult")
+
+    def __init__(self, grid: GridSpec, order: int, tuples: np.ndarray | None, rows: np.ndarray):
+        self.grid = grid
+        self.order = order
+        self.tuples = tuples
+        self.rows = rows
+        self._mult = None
+
+    @staticmethod
+    def of(grid: GridSpec, order: int, comps: list) -> "_OrderStack":
+        """Stack of one component (or None) per cell."""
+        if order > 0 and all(c is None or isinstance(c, LayeredKernel) for c in comps):
+            zero = np.zeros(grid.cells)
+            return _OrderStack(grid, order, None, np.array([zero if c is None else c.layers for c in comps]))
+        entries = [(s, c.to_sparse().entries) for s, c in enumerate(comps) if c is not None]
+        sizes = [len(e) for _, e in entries]
+        total = sum(sizes)
+        tuples = np.fromiter(chain.from_iterable(chain.from_iterable(e) for _, e in entries),
+                             dtype=np.int64, count=total * order).reshape(total, order)
+        keys, index = unique_rows(tuples)
+        rows = np.zeros((len(comps), len(keys)))
+        rows[np.repeat([s for s, _ in entries], sizes), index] = np.fromiter(
+            chain.from_iterable(e.values() for _, e in entries), dtype=float, count=total)
+        return _OrderStack(grid, order, keys, rows)
+
+    @property
+    def layered(self) -> bool:
+        return self.tuples is None
+
+    def with_rows(self, rows: np.ndarray) -> "_OrderStack":
+        """The same coordinates with other rows."""
+        out = _OrderStack(self.grid, self.order, self.tuples, rows)
+        out._mult = self._mult
+        return out
+
+    def multiplicities(self) -> np.ndarray:
+        """Orderings of each tuple, as floats: ``d = c * multiplicity`` are
+        the coordinates in which products and the Skorohod step are
+        multiset unions."""
+        if self._mult is None:
+            self._mult = _multiplicities(self.tuples)
+        return self._mult
+
+    def norm_weights(self) -> np.ndarray:
+        """A row's squared norm is ``row**2 @ norm_weights()``."""
+        if self.layered:
+            return layer_weights(self.grid, self.order)
+        return self.grid.step ** self.order * self.multiplicities()
+
+    def kernel(self, row: np.ndarray):
+        if self.layered:
+            return LayeredKernel(self.order, self.grid, row)
+        return SymKernel.from_arrays(self.order, self.grid, self.tuples, row)
+
+    def support(self) -> np.ndarray:
+        """``[cell, grid cell]`` mask of the cells each row's kernel
+        depends on, as ``support_cells`` of that kernel."""
+        if self.layered:
+            live = self.rows != 0.0
+            return np.logical_or.accumulate(live[:, ::-1], axis=1)[:, ::-1]
+        out = np.zeros((len(self.rows), self.grid.cells), dtype=bool)
+        s, j = np.nonzero(self.rows)
+        out[np.repeat(s, self.order), self.tuples[j].ravel()] = True
+        return out
+
+    def densify(self, cells: np.ndarray) -> "_OrderStack":
+        """The sparse form of a layered stack's rows at the marked cells,
+        other rows zero: every multiset up to the top non-zero layer, valued
+        at its largest cell.  Raises ``RepresentationLimitError`` where
+        ``LayeredKernel.to_sparse`` of one of those rows would."""
+        rows = np.where(cells[:, None], self.rows, 0.0)
+        keys = _multisets(self.order, rows.any(axis=0))
+        return _OrderStack(self.grid, self.order, keys, rows[:, keys[:, -1]])
+
+    def derivative(self) -> "_OrderStack":
+        """The stochastic derivative of each row at its own cell, one order
+        down: ``n`` times the kernel with one slot fixed at the cell.  A
+        layered row becomes the gather ``n * rows[s, max(r, s)]``."""
+        n, rows = self.order, self.rows
+        cells = np.arange(len(rows))
+        if self.layered:
+            if n == 1:
+                return _OrderStack(self.grid, 0, np.zeros((1, 0), dtype=np.int64),
+                                   n * rows[cells, cells][:, None])
+            at = np.maximum.outer(cells, np.arange(self.grid.cells))
+            return _OrderStack(self.grid, n - 1, None, n * np.take_along_axis(rows, at, axis=1))
+        # one slice per distinct cell of a tuple at a cell below t
+        keys, cols, sliced = _splits(self.tuples, 1)
+        cols = cols[:, 0]
+        hit = cols < len(rows)
+        keys, cols = keys[hit], cols[hit]
+        out_keys, index = unique_rows(sliced[hit])
+        out = np.zeros((len(rows), len(out_keys)))
+        out[cols, index] = n * rows[cols, keys]
+        return _OrderStack(self.grid, n - 1, out_keys, out)
+
+
+def _order_stacks(phi: ChaosProcess, t_cell: int) -> list[_OrderStack]:
+    """The order stacks of a process over the cells below ``t``, by
+    ascending order."""
+    cells = [phi.at(s).components for s in range(t_cell)]
+    orders = sorted(set().union(*cells))
+    return [_OrderStack.of(phi.grid, n, [c.get(n) for c in cells]) for n in orders]
+
+
 class _SparseSum:
     """Running sum of ``(tuple, d)`` entries of one order in multiplicity
     coordinates ``d = c * multiplicity(tuple)``.  A row need not be sorted
-    when it is added.  Pending entries are reduced to distinct tuples once
-    they pass ``_ENTRY_BLOCK`` elements, so the pending part stays small."""
+    when it is added.  ``parts[0]`` holds distinct sorted tuples when
+    ``pending`` is 0.  Pending elements are reduced with it once they pass
+    both ``_ENTRY_BLOCK`` and the elements already reduced, so the reduced
+    part about doubles between two reductions and an entry is sorted again
+    O(log n) times.  ``bincount`` adds each tuple's terms in input order
+    wherever the reductions fall, so the sum does not depend on them."""
 
     def __init__(self, order: int):
         self.order = order
         self.parts: list[tuple[np.ndarray, np.ndarray]] = []
         self.pending = 0
-        self.reduced = True
+        self.reduced = 0
 
     def add(self, tuples: np.ndarray, d: np.ndarray, canonical: bool = False):
         """Add entries; ``canonical`` rows are distinct, sorted and in
@@ -66,9 +190,12 @@ class _SparseSum:
         if not live.any():
             return
         self.parts.append((tuples[live], d[live]))
-        self.reduced = canonical and len(self.parts) == 1
-        self.pending += int(live.sum()) * max(self.order, 1)
-        if self.pending > _ENTRY_BLOCK:
+        size = int(live.sum()) * max(self.order, 1)
+        if canonical and len(self.parts) == 1:
+            self.reduced = size
+            return
+        self.pending += size
+        if self.pending > max(_ENTRY_BLOCK, self.reduced):
             self._reduce()
 
     def _reduce(self):
@@ -78,18 +205,14 @@ class _SparseSum:
         d = np.bincount(index, weights=np.concatenate([v for _, v in self.parts]), minlength=len(keys))
         self.parts = [(keys, d)]
         self.pending = 0
-        self.reduced = True
+        self.reduced = len(keys) * max(self.order, 1)
 
-    def kernel(self, grid: GridSpec, extra=None, scale: float = 1.0) -> SymKernel | None:
-        """The sum as a sparse kernel in ``c`` coordinates, times ``scale``,
-        with a structured kernel ``extra`` of the same order densified into
-        it; None when nothing was added."""
+    def kernel(self, grid: GridSpec, scale: float = 1.0) -> SymKernel | None:
+        """The sum as a sparse kernel in ``c`` coordinates, times ``scale``;
+        None when nothing was added."""
         if not self.parts:
             return None
-        if extra is not None:
-            tuples, c = extra.to_sparse().arrays()
-            self.add(tuples, c * _multiplicities(tuples))
-        if not self.reduced:
+        if self.pending:
             self._reduce()
         keys, d = self.parts[0]
         return SymKernel.from_arrays(self.order, grid, keys, d / _multiplicities(keys) * scale)
@@ -261,8 +384,7 @@ def _skorohod_step(grid: GridSpec, t_cell: int, parts) -> ChaosVector:
     by ``_products`` parts: in multiplicity coordinates every entry gets
     its cell appended, ``d_{t+{s}} += d_t``, and each output order is
     summed in one ``_SparseSum``.  Layered rows give
-    ``TimeSlotSymKernel(rows)``, densified into the sparse sum when an order
-    holds both forms, as in ``operators.skorohod``."""
+    ``TimeSlotSymKernel(rows)``."""
     cells = grid.cells
     sums: dict[int, _SparseSum] = {}
     slots: dict[int, np.ndarray] = {}
@@ -280,13 +402,8 @@ def _skorohod_step(grid: GridSpec, t_cell: int, parts) -> ChaosVector:
             s, j = np.nonzero(part.rows[lo:lo + block])
             sums.setdefault(n + 1, _SparseSum(n + 1)).add(
                 np.column_stack([part.tuples[j], s + lo]), part.rows[s + lo, j] * mult[j])
-    comps = {}
-    for n in sorted(set(sums) | set(slots)):
-        slot = slots.get(n)
-        slot = TimeSlotSymKernel(n, grid, slot) if slot is not None and slot.any() else None
-        kern = sums[n].kernel(grid, slot) if n in sums else None
-        comps[n] = slot if kern is None else kern
-    return ChaosVector(grid, {n: k for n, k in comps.items() if k is not None})
+    return _vector(grid, sums, {n: TimeSlotSymKernel(n, grid, slot)
+                                for n, slot in slots.items() if slot.any()})
 
 
 def _time_integral(grid: GridSpec, parts) -> ChaosVector:
@@ -303,15 +420,18 @@ def _time_integral(grid: GridSpec, parts) -> ChaosVector:
         else:
             sums.setdefault(n, _SparseSum(n)).add(part.tuples, part.rows.sum(axis=0) * part.multiplicities(),
                                                   canonical=True)
-    comps = {}
-    for n in sorted(set(sums) | set(layers)):
-        lay = layers.get(n)
-        lay = LayeredKernel(n, grid, lay) if lay is not None and lay.any() else None
-        kern = sums[n].kernel(grid, lay, grid.step) if n in sums else None
-        if kern is None and lay is not None:
-            kern = lay.scale(grid.step)
-        comps[n] = kern
-    return ChaosVector(grid, {n: k for n, k in comps.items() if k is not None})
+    return _vector(grid, sums, {n: LayeredKernel(n, grid, lay).scale(grid.step)
+                                for n, lay in layers.items() if lay.any()}, grid.step)
+
+
+def _vector(grid: GridSpec, sums: dict[int, _SparseSum], structured: dict, scale: float = 1.0) -> ChaosVector:
+    """The chaos vector of the sparse sums, times ``scale``, and of the
+    structured kernels; an order that holds both is their sum,
+    ``SymKernel.add``, as in ``operators.skorohod``."""
+    comps = {n: kern for n, s in sums.items() if (kern := s.kernel(grid, scale)) is not None}
+    for n, kern in structured.items():
+        comps[n] = comps[n].add(kern) if n in comps else kern
+    return ChaosVector(grid, dict(sorted(comps.items())))
 
 
 def _integrate(grid: GridSpec, t_cell: int, acted: list[_OrderStack],

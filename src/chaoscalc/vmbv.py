@@ -32,15 +32,8 @@ from .errors import IndependenceError, IntegrabilityError, StabilityLawError, Tr
 from .grid import GridSpec, same_grid
 from .kernels import SymKernel
 from .operators import TestFunctionXi, derivative_at, s_transform, wick
-from .stacked import _integrate
-from .volterra import (
-    AssumptionReport,
-    VolterraKernel,
-    _order_stacks,
-    _OrderStack,
-    _stieltjes_weights,
-    kernel_action,
-)
+from .stacked import _integrate, _order_stacks, _OrderStack
+from .volterra import AssumptionReport, VolterraKernel, _stieltjes_weights, kernel_action
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
 from .grid import GridSpec
-from .kernels import _multisets, _splits, LayeredKernel, SymKernel, layer_weights, multiplicities, unique_rows
+from .stacked import _ENTRY_BLOCK, _order_stacks, _OrderStack
 
 # Nodes per panel of the rough kernel's composite Gauss rule.  Every panel
 # lies at least its own width away from the singularity at u = 0, so each
@@ -351,128 +350,6 @@ def _stieltjes_weights(k: VolterraKernel, grid: GridSpec, s_cell: int, t_cell: i
     return kernel_measure(k, grid, s_rep, grid.t_left(s_cell + 1), grid.t_left(t_cell))
 
 
-# Elements per temporary array of cell-pair differences in the diagnostics;
-# larger tables are processed in blocks of cells.
-_DIFF_BLOCK = 1 << 18
-
-
-class _OrderStack:
-    """The order-``n`` components of a process at the cells below ``t``, one
-    row per cell in shared coordinates.
-
-    The coordinates are the layers (``tuples`` is None) when every component
-    is layered, else the canonical tuples: an ``(K, n)`` matrix of distinct
-    sorted tuples in lexicographic order, with ``rows[s, j]`` the coefficient
-    of tuple ``j`` at cell ``s``.  Layered and time-slot components of a
-    sparse stack are densified, as adding them to a sparse kernel would.
-    """
-
-    __slots__ = ("grid", "order", "tuples", "rows", "_mult")
-
-    def __init__(self, grid: GridSpec, order: int, tuples: np.ndarray | None, rows: np.ndarray):
-        self.grid = grid
-        self.order = order
-        self.tuples = tuples
-        self.rows = rows
-        self._mult = None
-
-    @staticmethod
-    def of(grid: GridSpec, order: int, comps: list) -> "_OrderStack":
-        """Stack of one component (or None) per cell."""
-        if order > 0 and all(c is None or isinstance(c, LayeredKernel) for c in comps):
-            zero = np.zeros(grid.cells)
-            return _OrderStack(grid, order, None, np.array([zero if c is None else c.layers for c in comps]))
-        entries = [(s, c.to_sparse().entries) for s, c in enumerate(comps) if c is not None]
-        sizes = [len(e) for _, e in entries]
-        total = sum(sizes)
-        tuples = np.fromiter(chain.from_iterable(chain.from_iterable(e) for _, e in entries),
-                             dtype=np.int64, count=total * order).reshape(total, order)
-        keys, index = unique_rows(tuples)
-        rows = np.zeros((len(comps), len(keys)))
-        rows[np.repeat([s for s, _ in entries], sizes), index] = np.fromiter(
-            chain.from_iterable(e.values() for _, e in entries), dtype=float, count=total)
-        return _OrderStack(grid, order, keys, rows)
-
-    @property
-    def layered(self) -> bool:
-        return self.tuples is None
-
-    def with_rows(self, rows: np.ndarray) -> "_OrderStack":
-        """The same coordinates with other rows."""
-        out = _OrderStack(self.grid, self.order, self.tuples, rows)
-        out._mult = self._mult
-        return out
-
-    def multiplicities(self) -> np.ndarray:
-        """Orderings of each tuple, as floats: ``d = c * multiplicity`` are
-        the coordinates in which products and the Skorohod step are
-        multiset unions."""
-        if self._mult is None:
-            self._mult = multiplicities(self.tuples).astype(float)
-        return self._mult
-
-    def norm_weights(self) -> np.ndarray:
-        """A row's squared norm is ``row**2 @ norm_weights()``."""
-        if self.layered:
-            return layer_weights(self.grid, self.order)
-        return self.grid.step ** self.order * self.multiplicities()
-
-    def kernel(self, row: np.ndarray):
-        if self.layered:
-            return LayeredKernel(self.order, self.grid, row)
-        return SymKernel.from_arrays(self.order, self.grid, self.tuples, row)
-
-    def support(self) -> np.ndarray:
-        """``[cell, grid cell]`` mask of the cells each row's kernel
-        depends on, as ``support_cells`` of that kernel."""
-        if self.layered:
-            live = self.rows != 0.0
-            return np.logical_or.accumulate(live[:, ::-1], axis=1)[:, ::-1]
-        out = np.zeros((len(self.rows), self.grid.cells), dtype=bool)
-        s, j = np.nonzero(self.rows)
-        out[np.repeat(s, self.order), self.tuples[j].ravel()] = True
-        return out
-
-    def densify(self, cells: np.ndarray) -> "_OrderStack":
-        """The sparse form of a layered stack's rows at the marked cells,
-        other rows zero: every multiset up to the top non-zero layer, valued
-        at its largest cell.  Raises ``RepresentationLimitError`` where
-        ``LayeredKernel.to_sparse`` of one of those rows would."""
-        rows = np.where(cells[:, None], self.rows, 0.0)
-        keys = _multisets(self.order, rows.any(axis=0))
-        return _OrderStack(self.grid, self.order, keys, rows[:, keys[:, -1]])
-
-    def derivative(self) -> "_OrderStack":
-        """The stochastic derivative of each row at its own cell, one order
-        down: ``n`` times the kernel with one slot fixed at the cell.  A
-        layered row becomes the gather ``n * rows[s, max(r, s)]``."""
-        n, rows = self.order, self.rows
-        cells = np.arange(len(rows))
-        if self.layered:
-            if n == 1:
-                return _OrderStack(self.grid, 0, np.zeros((1, 0), dtype=np.int64),
-                                   n * rows[cells, cells][:, None])
-            at = np.maximum.outer(cells, np.arange(self.grid.cells))
-            return _OrderStack(self.grid, n - 1, None, n * np.take_along_axis(rows, at, axis=1))
-        # one slice per distinct cell of a tuple at a cell below t
-        keys, cols, sliced = _splits(self.tuples, 1)
-        cols = cols[:, 0]
-        hit = cols < len(rows)
-        keys, cols = keys[hit], cols[hit]
-        out_keys, index = unique_rows(sliced[hit])
-        out = np.zeros((len(rows), len(out_keys)))
-        out[cols, index] = n * rows[cols, keys]
-        return _OrderStack(self.grid, n - 1, out_keys, out)
-
-
-def _order_stacks(phi: ChaosProcess, t_cell: int) -> list[_OrderStack]:
-    """The order stacks of a process over the cells below ``t``, by
-    ascending order."""
-    cells = [phi.at(s).components for s in range(t_cell)]
-    orders = sorted(set().union(*cells))
-    return [_OrderStack.of(phi.grid, n, [c.get(n) for c in cells]) for n in orders]
-
-
 @dataclass(frozen=True)
 class KernelAction:
     """The kernel action at one horizon ``t`` as a fixed matrix.
@@ -520,7 +397,7 @@ class KernelAction:
             x, m = stack.rows, stack.norm_weights()
             a3_n = np.empty(t_cell)
             b5_n = np.empty(t_cell)
-            block = max(1, _DIFF_BLOCK // x.size)
+            block = max(1, _ENTRY_BLOCK // x.size)
             for lo in range(0, t_cell, block):
                 hi = min(lo + block, t_cell)
                 diff = x[None, :, :] - x[lo:hi, None, :]  # [s, u] -> phi(u) - phi(s)

@@ -156,6 +156,25 @@ def test_cli_mc_compare_rejects_fewer_than_two_paths(tmp_path, capsys):
     assert not (tmp_path / "mc_compare.csv").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["donsker", "--alpha", "nan"], "alpha must be finite"),
+    (["donsker", "--alpha", "inf"], "alpha must be finite"),
+    (["donsker", "--lambda-sweep", "0.5,nan"], "lambdas must be finite"),
+    (["identity-suite", "--draws", "0"], "n_draws must be at least 1"),
+    (["identity-suite", "--order", "-1"], "max_order must be >= 0"),
+    (["fbm-cov", "--hurst", "0.8", "--pairs", "2:0.5"], "need 0 < s < t <= 1.0"),
+    (["fbm-cov", "--hurst", "0.8", "--pairs", "1:0.5,1:0"], "need 0 < s < t <= 1.0"),
+], ids=["donsker-alpha-nan", "donsker-alpha-inf", "donsker-lambda-nan", "identity-draws-0",
+        "identity-order-negative", "fbm-cov-t-beyond-horizon", "fbm-cov-s-zero"])
+def test_cli_subcommand_inputs_that_compute_nothing_exit_2(tmp_path, capsys, args, message):
+    small = {"donsker": ["--cells", "16", "--order", "2"], "identity-suite": ["--draws", "1"],
+             "fbm-cov": ["--cells", "16"]}[args[0]]
+    assert run_cli([args[0]] + small + args[1:], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_vmbv_and_determinism(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg_with(

@@ -31,8 +31,8 @@ from chaoscalc import (
     wick,
 )
 from chaoscalc.kernels import TimeSlotSymKernel, kernel_from_json
+from chaoscalc.stacked import _OrderStack
 from chaoscalc.testing import random_chaos_process, random_chaos_vector, random_sym_kernel, rng_from
-from chaoscalc.volterra import _OrderStack
 
 from dense_ref import composed_integral
 
@@ -132,7 +132,7 @@ def test_stacked_integral_across_block_boundaries(monkeypatch, integrand, mode):
     whole = integrate(phi, vol, kernel).value
     budget = 24
     blocks = Counter()
-    expand, pairs, splits = stacked_mod._expand, stacked_mod._contraction_pairs, stacked_mod._splits
+    expand, pairs, key_splits = stacked_mod._expand, stacked_mod._contraction_pairs, stacked_mod._key_splits
     densify = _OrderStack.densify
 
     def counted(counts, width):
@@ -146,10 +146,10 @@ def test_stacked_integral_across_block_boundaries(monkeypatch, integrand, mode):
             blocks["pairs"] += 1
             yield block
 
-    def counted_splits(tuples, k):
-        out = splits(tuples, k)
-        assert len(tuples) == 1 or out[1].size + out[2].size <= budget
-        return out
+    def counted_key_splits(tuples, k):
+        for rows, subs, rests in key_splits(tuples, k):
+            assert len(set(rows.tolist())) == 1 or subs.size + rests.size <= budget
+            yield rows, subs, rests
 
     def counted_densify(stack, cells):
         out = densify(stack, cells)
@@ -160,7 +160,7 @@ def test_stacked_integral_across_block_boundaries(monkeypatch, integrand, mode):
     monkeypatch.setattr(stacked_mod, "_ENTRY_BLOCK", budget)
     monkeypatch.setattr(stacked_mod, "_expand", counted)
     monkeypatch.setattr(stacked_mod, "_contraction_pairs", counted_pairs)
-    monkeypatch.setattr(stacked_mod, "_splits", counted_splits)
+    monkeypatch.setattr(stacked_mod, "_key_splits", counted_key_splits)
     monkeypatch.setattr(_OrderStack, "densify", counted_densify)
     blocked = integrate(phi, vol, kernel)
     assert blocks["entries"] > 50
@@ -384,6 +384,51 @@ def test_expand_blocks_stay_within_budget():
     owner, offset = np.concatenate(owners), np.concatenate(offsets)
     assert owner.tolist() == np.repeat(np.arange(len(counts)), counts).tolist()
     assert offset.tolist() == [j for c in counts for j in range(c)]
+
+
+@pytest.mark.parametrize("tuples", ["distinct", "repeated"])
+def test_sparse_sum_reduces_by_its_own_size(monkeypatch, tuples):
+    """A canonical part, then 300 parts of unsorted rows with some zero
+    values, summed with a block of 48 elements.  On distinct tuples the sum
+    reduces about ``log2(total / block)`` times, not once per block; on
+    repeated tuples (about 20 terms each) the reductions fall between terms
+    of one tuple.  Either way the kernel is one reduction of all the parts,
+    bit for bit."""
+    block, order = 48, 3
+    grid = make_grid(1.0, 40)
+    rng = rng_from(29)
+    pool = kernels_mod._multisets(order, np.ones(grid.cells, dtype=bool))
+    if tuples == "distinct":
+        rows = pool[rng.permutation(len(pool) - 200)[:6000]]
+    else:
+        rows = pool[rng.integers(0, 300, 6000)]
+    parts = [(pool[-200:], rng.standard_normal(200))]
+    for chunk in np.array_split(rng.permuted(rows, axis=1), 300):
+        d = rng.standard_normal(len(chunk))
+        d[::7] = 0.0
+        parts.append((chunk, d))
+    calls = Counter()
+    reduce = stacked_mod._SparseSum._reduce
+
+    def counted(self):
+        calls["reduce"] += 1
+        reduce(self)
+
+    monkeypatch.setattr(stacked_mod, "_ENTRY_BLOCK", block)
+    monkeypatch.setattr(stacked_mod._SparseSum, "_reduce", counted)
+    total = stacked_mod._SparseSum(order)
+    for i, (t, d) in enumerate(parts):
+        total.add(t, d, canonical=i == 0)
+    got_tuples, got_coef = total.kernel(grid, scale=grid.step).arrays()
+
+    live = np.concatenate([d for _, d in parts]) != 0.0
+    keys, index = kernels_mod.unique_rows(np.sort(np.concatenate([t for t, _ in parts])[live], axis=1))
+    coef = np.bincount(index, weights=np.concatenate([d for _, d in parts])[live], minlength=len(keys))
+    coef = coef / kernels_mod.multiplicities(keys).astype(float) * grid.step
+    assert np.array_equal(got_tuples, keys[coef != 0.0])
+    assert got_coef.tobytes() == coef[coef != 0.0].tobytes()
+    if tuples == "distinct":
+        assert calls["reduce"] <= math.log2(live.sum() * order / block) + 2
 
 
 # -- the canonical COO constructor ------------------------------------------
