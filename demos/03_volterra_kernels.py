@@ -47,7 +47,7 @@ for H in (0.6, 0.7, 0.8):
     t, s = 1.0, 0.5
     acc = grid.step * sum(
         kernel_eval(k, t, grid.t_mid(u)) * kernel_eval(k, s, grid.t_mid(u))
-        for u in range(grid.cell(s))
+        for u in range(grid.snap_down(s))
     )
     exact = 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
     print(f"H={H}: discrete covariance {acc:.4f} vs exact {exact:.4f} "

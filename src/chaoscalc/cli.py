@@ -109,7 +109,7 @@ def _run_fbm_cov(args) -> int:
         k = FbmKernel(H=H)
         for (t, s) in pairs:
             acc = 0.0
-            for u in range(grid.cell(s)):
+            for u in range(grid.snap_down(s)):
                 mid = grid.t_mid(u)
                 acc += kernel_eval(k, t, mid) * kernel_eval(k, s, mid)
             acc *= grid.step

@@ -15,9 +15,10 @@ checked.  The pipeline runs on order stacks, all cells of one chaos order
 at once (``stacked._integrate``); the per-cell operators of ``operators``
 compute the same and serve the tests as its reference.
 
-The two independent consistency oracles (direct per-order kernel assembly,
-and the scalar transform identity) are implemented on their own code paths
-and must agree with the pipelines exactly in the discrete model.
+The two independent consistency oracles (the white-noise definition, each
+cell's Wick product with its increment, and the scalar transform identity)
+are implemented on their own code paths and must agree with the pipelines
+exactly in the discrete model.
 """
 
 from __future__ import annotations
@@ -195,107 +196,55 @@ def _support(stacks: list[_OrderStack], grid: GridSpec, t_cell: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _kernel_action_on_component(phi: ChaosProcess, kernel: VolterraKernel,
-                                t_cell: int, order: int, s_cell: int) -> SymKernel:
-    """Kernel action applied to the order-``order`` kernel family of the
-    process, as pure kernel arithmetic (no chaos-vector machinery)."""
-    grid = phi.grid
-    base = phi.at(s_cell).component(order).to_sparse()
-    g_ts, _ = kernel.evaluate_clipped(grid.t_left(t_cell), grid.t_mid(s_cell), grid.step)
-    out = base.scale(g_ts)
-    mw = _stieltjes_weights(kernel, grid, s_cell, t_cell)
-    wsum = 0.0
-    for u, w in mw.items():
-        if w == 0.0:
-            continue
-        out = out.add(phi.at(u).component(order).to_sparse().scale(w))
-        wsum += w
-    if wsum != 0.0:
-        out = out.add(base.scale(-wsum))
-    return out
-
-
-def _append_time_slot(acc: dict, kern: SymKernel, s_cell: int):
-    """Accumulate the symmetrization of ``kern`` with ``s_cell`` appended as
-    one more slot.  Same algebra as the Skorohod step, restated locally so the
-    oracle does not run through the pipeline code."""
-    n1 = kern.order + 1
-    for tup, c in kern.entries.items():
-        w = tuple(sorted(tup + (s_cell,)))
-        acc[w] = acc.get(w, 0.0) + c * (tup.count(s_cell) + 1) / n1
-
-
-def _tensor(f: SymKernel, g: SymKernel) -> SymKernel:
-    """Symmetrized tensor product of two kernels: the Wick product of the
-    one-component vectors."""
-    return wick(ChaosVector.from_kernel(f), ChaosVector.from_kernel(g)).component(f.order + g.order)
-
-
 def chaos_formula_oracle(phi: ChaosProcess, kernel: VolterraKernel, t: float,
                          Sigma: ChaosProcess | None = None) -> ChaosVector:
-    """Direct per-order chaos assembly of the integral.
+    """The integral by its white-noise definition, cell by cell.
 
-    Output order ``n`` collects (i) the time-slot symmetrization of the
-    kernel action applied to the order-``n-1`` kernel family and (ii) the
-    step-weighted time sum of the action applied to the order-``n+1`` family
-    with one slot pinned to the running cell, scaled by ``n+1``.  With a
-    volatility process, each piece is tensor-convolved with its kernels
-    first.  Must reproduce the pipeline exactly.
+    At each cell ``s`` below ``t`` the kernel action ``a(s) = g(t, s) phi(s)
+    + sum_u w_u (phi(u) - phi(s))`` is summed into one dict per order.  The
+    Skorohod integral of a step process is the sum of its Wick products with
+    the cell increments, so the integral is
+
+        sum_s a(s) <> (v(s) <> dB_s) + step * sum_s (D_s a(s)) <> v(s),
+
+    with ``v`` the volatility (1 without one), ``dB_s`` the order-1 kernel
+    equal to 1 at cell ``s``, ``<>`` the Wick product and ``D_s`` the
+    stochastic derivative at ``s``; both sums go into one dict per output
+    order.  Must reproduce the pipeline exactly.
     """
     grid = phi.grid
     t_cell = grid.snap_down(t)
     if t_cell < 1:
         raise ValueError(f"t={t} must cover at least one cell")
-    max_phi = max(phi.at(s).max_order() for s in range(grid.cells))
     if Sigma is not None:
         same_grid(grid, Sigma.grid)
-        max_sig = max(Sigma.at(s).max_order() for s in range(grid.cells))
-    else:
-        max_sig = 0
-    out_orders = max_phi + max_sig + 1
-
-    # cache the per-(order, s) kernel action
-    action: dict[tuple[int, int], SymKernel] = {}
-
-    def act(order: int, s_cell: int) -> SymKernel:
-        key = (order, s_cell)
-        if key not in action:
-            action[key] = _kernel_action_on_component(phi, kernel, t_cell, order, s_cell)
-        return action[key]
-
-    comps: dict[int, SymKernel] = {}
-
-    def add_comp(n: int, kern: SymKernel):
-        if kern.is_zero():
-            return
-        comps[n] = comps[n].add(kern) if n in comps else kern
-
     step = grid.step
-    for n in range(out_orders + 1):
-        slot_acc: dict[tuple[int, ...], float] = {}
-        drift_acc = SymKernel.zero(n, grid)
-        for s in range(t_cell):
-            if Sigma is None:
-                if n >= 1:
-                    _append_time_slot(slot_acc, act(n - 1, s), s)
-                if n + 1 <= max_phi:
-                    sliced = act(n + 1, s).slice_at(s).scale(float(n + 1))
-                    drift_acc = drift_acc.add(sliced)
-            else:
-                sig = Sigma.at(s)
-                for m in range(0, max_sig + 1):
-                    sig_k = sig.component(m).to_sparse()
-                    if sig_k.is_zero():
-                        continue
-                    if n >= 1 and 0 <= n - 1 - m <= max_phi:
-                        _append_time_slot(slot_acc, _tensor(act(n - 1 - m, s), sig_k), s)
-                    q = n - m
-                    if 0 <= q and q + 1 <= max_phi:
-                        sliced = act(q + 1, s).slice_at(s).scale(float(q + 1))
-                        drift_acc = drift_acc.add(_tensor(sliced, sig_k))
-        add_comp(n, SymKernel(n, grid, slot_acc))
-        add_comp(n, drift_acc.scale(step))
-    return ChaosVector(grid, {n: k for n, k in comps.items() if not k.is_zero()})
+    # the action reads the integrand at the cells below t only, each densified once
+    values = [ChaosVector(grid, {n: k.to_sparse() for n, k in phi.at(u).components.items()})
+              for u in range(t_cell)]
+    sums: dict[int, dict[tuple[int, ...], float]] = {}
+
+    def accumulate(acc: dict, vec: ChaosVector, weight: float = 1.0):
+        for n, k in vec.components.items():
+            into = acc.setdefault(n, {})
+            for tup, c in k.to_sparse().entries.items():
+                into[tup] = into.get(tup, 0.0) + weight * c
+
+    for s in range(t_cell):
+        g_ts, _ = kernel.evaluate_clipped(t, grid.t_mid(s), step)
+        weights = list(_stieltjes_weights(kernel, grid, s, t_cell).items())
+        action: dict[int, dict[tuple[int, ...], float]] = {}
+        for u, w in [(s, g_ts)] + weights + [(s, -sum(w for _, w in weights))]:
+            accumulate(action, values[u], w)
+        a = ChaosVector(grid, {n: SymKernel(n, grid, acc) for n, acc in action.items()})
+        increment = ChaosVector.from_kernel(SymKernel(1, grid, {(s,): 1.0}))
+        drift = derivative_at(a, s)
+        if Sigma is not None:
+            increment = wick(Sigma.at(s), increment)
+            drift = wick(drift, Sigma.at(s))
+        accumulate(sums, wick(a, increment))
+        accumulate(sums, drift, step)
+    return ChaosVector(grid, {n: SymKernel(n, grid, acc) for n, acc in sorted(sums.items())})
 
 
 def s_transform_oracle(phi: ChaosProcess, kernel: VolterraKernel, t: float,
@@ -316,16 +265,14 @@ def s_transform_oracle(phi: ChaosProcess, kernel: VolterraKernel, t: float,
     step = grid.step
     arr = xi.as_array()
 
-    s_phi = np.array([s_transform(phi.at(u), xi) for u in range(grid.cells)])
+    # the action reads the integrand at the cells below t only
+    s_phi = np.array([s_transform(phi.at(u), xi) for u in range(t_cell)])
     # functional derivative of the integrand transform: d[u, s]
-    d_phi = np.zeros((grid.cells, t_cell))
-    for u in range(grid.cells):
-        vec = phi.at(u)
-        for s in range(t_cell):
-            d_phi[u, s] = s_transform(derivative_at(vec, s), xi)
+    d_phi = np.array([[s_transform(derivative_at(phi.at(u), s), xi) for s in range(t_cell)]
+                      for u in range(t_cell)])
 
     def scalar_action(values: np.ndarray, s_cell: int) -> float:
-        g_ts, _ = kernel.evaluate_clipped(grid.t_left(t_cell), grid.t_mid(s_cell), grid.step)
+        g_ts, _ = kernel.evaluate_clipped(t, grid.t_mid(s_cell), grid.step)
         mw = _stieltjes_weights(kernel, grid, s_cell, t_cell)
         out = g_ts * values[s_cell]
         for u, w in mw.items():

@@ -138,6 +138,18 @@ def test_cli_fbm_cov_small(tmp_path):
     assert len(lines) == 2
 
 
+def test_cli_fbm_cov_sums_the_cells_below_an_unaligned_s(tmp_path):
+    """On 10 cells 0.3 / 0.1 rounds to 2.9999999999999996, yet three cells
+    lie below s = 0.3: the sum takes them all, as ``snap_down`` does."""
+    assert run_cli(["fbm-cov", "--cells", "10", "--hurst", "0.7", "--pairs", "1:0.3"], tmp_path) == 0
+    row = (tmp_path / "fbm_cov.csv").read_text().strip().splitlines()[1].split(",")
+    grid, k = chaoscalc.make_grid(1.0, 10), chaoscalc.FbmKernel(H=0.7)
+    g = chaoscalc.kernel_eval
+    want = grid.step * sum(g(k, 1.0, grid.t_mid(u)) * g(k, 0.3, grid.t_mid(u)) for u in range(3))
+    assert float(row[3]) == pytest.approx(want, rel=1e-12)
+    assert float(row[5]) < 0.05
+
+
 def test_cli_mc_compare(tmp_path):
     code = run_cli(["mc-compare", "--cells", "8", "--paths", "20000", "--seed", "3"], tmp_path)
     assert code == 0

@@ -13,6 +13,7 @@ from chaoscalc import (
     TestFunctionXi,
     derivative_at,
     derivative_process,
+    donsker_process,
     gnorm,
     linear_combine,
     make_grid,
@@ -190,6 +191,36 @@ def test_skorohod_mixed_storage_forms_match_dense():
         assert next(iter(out.components)) == 1
         want = dense_skorohod(GRID, dense_vals, a, b)
         assert compare_dense(GRID, dense_vector(out, n_max=3), want) < 1e-12
+
+
+def _increment_sum(proc: ChaosProcess, lo: int, hi: int) -> ChaosVector:
+    """``sum_j proc(j) <> dB_j`` over the cells ``lo..hi-1``, with ``dB_j`` the
+    order-1 kernel equal to 1 at cell ``j``: the white-noise definition of
+    the Skorohod integral of a step process."""
+    out = ChaosVector.zero(proc.grid)
+    for j in range(lo, hi):
+        increment = ChaosVector.from_kernel(SymKernel(1, proc.grid, {(j,): 1.0}))
+        out = out.add(wick(proc.at(j), increment))
+    return out
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.25, 0.75)])
+@pytest.mark.parametrize("max_order", [0, 1, 2, 3])
+def test_skorohod_is_the_sum_of_wick_products_with_the_increments(max_order, a, b):
+    rng = rng_from(53 + max_order)
+    for _ in range(5):
+        proc = random_chaos_process(GRID, max_order, rng)
+        want = _increment_sum(proc, GRID.snap_down(a), GRID.snap_down(b))
+        assert rel_error(skorohod(proc, a, b), want) < 1e-12
+
+
+def test_skorohod_of_a_layered_process_is_the_sum_of_wick_products():
+    g = make_grid(1.0, 8)
+    proc = donsker_process(g, 4, 0.25)
+    out = skorohod(proc, 0.0, 1.0)
+    assert any(isinstance(k, TimeSlotSymKernel) for k in out.components.values())
+    densified = ChaosVector(g, {n: k.to_sparse() for n, k in out.components.items()})
+    assert rel_error(densified, _increment_sum(proc, 0, g.cells)) < 1e-12
 
 
 def test_skorohod_additivity_and_empty_interval():

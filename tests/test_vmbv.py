@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chaoscalc.donsker as donsker_mod
+import chaoscalc.operators as operators_mod
 import chaoscalc.stacked as stacked_mod
 import chaoscalc.vmbv as vmbv_mod
 import chaoscalc.volterra as volterra_mod
@@ -398,30 +399,49 @@ def test_s_transform_oracle_seeded_and_wick():
         assert lhs_w == pytest.approx(rhs_w, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.3, 0.99])
+def test_oracles_at_an_unaligned_horizon(t):
+    """Between grid points both oracles evaluate the kernel at ``t`` itself,
+    as the pipeline's kernel action does."""
+    rng = rng_from(257)
+    k = OuKernel(alpha=1.0)
+    proc = random_chaos_process(GRID, 2, rng)
+    sig = random_chaos_process(GRID, 1, rng)
+    xi = TestFunctionXi.from_values(GRID, 0.5 * rng.standard_normal(GRID.cells))
+    for vol, value in ((None, integrate_plain(proc, k, t).value),
+                       (sig, integrate_wick(proc, sig, k, t).value)):
+        assert rel_error(chaos_formula_oracle(proc, k, t, Sigma=vol), value) < 1e-12
+        assert s_transform_oracle(proc, k, t, xi, Sigma=vol) == pytest.approx(
+            s_transform(value, xi), rel=1e-12, abs=1e-14)
+
+
 def test_oracles_call_no_pipeline_code(monkeypatch):
     """Both oracles reproduce the integrals with every stage of the
-    pipeline (kernel action, order stacks, stacked integral) disabled."""
+    pipeline (kernel action, order stacks, stacked integral) and the
+    per-call Skorohod and time integrals disabled: the Skorohod step of the
+    chaos oracle comes from its Wick products with the cell increments."""
     rng = rng_from(251)
     k = OuKernel(alpha=1.0)
     cases = []
-    for _ in range(3):
+    for t in (1.0, 1.0, 1.0, 0.3):
         proc = random_chaos_process(GRID, 2, rng)
         sig = random_chaos_process(GRID, 2, rng)
         xi = TestFunctionXi.from_values(GRID, 0.5 * rng.standard_normal(GRID.cells))
-        cases.append((proc, None, xi, integrate_plain(proc, k, 1.0).value))
-        cases.append((proc, sig, xi, integrate_wick(proc, sig, k, 1.0).value))
+        cases.append((proc, None, t, xi, integrate_plain(proc, k, t).value))
+        cases.append((proc, sig, t, xi, integrate_wick(proc, sig, k, t).value))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("pipeline code called")
 
     for module, name in ((stacked_mod, "_integrate"), (stacked_mod, "_products"), (vmbv_mod, "_integrate"),
-                         (vmbv_mod, "_order_stacks"), (vmbv_mod, "kernel_action")):
+                         (vmbv_mod, "_order_stacks"), (vmbv_mod, "kernel_action"),
+                         (operators_mod, "skorohod"), (operators_mod, "pettis_time_integral")):
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(volterra_mod.KernelAction, "act", forbidden)
     monkeypatch.setattr(volterra_mod.KernelAction, "tables", forbidden)
-    for proc, sig, xi, value in cases:
-        assert rel_error(chaos_formula_oracle(proc, k, 1.0, Sigma=sig), value) < 1e-12
-        assert s_transform_oracle(proc, k, 1.0, xi, Sigma=sig) == pytest.approx(
+    for proc, sig, t, xi, value in cases:
+        assert rel_error(chaos_formula_oracle(proc, k, t, Sigma=sig), value) < 1e-12
+        assert s_transform_oracle(proc, k, t, xi, Sigma=sig) == pytest.approx(
             s_transform(value, xi), rel=1e-10, abs=1e-12)
 
 
