@@ -248,22 +248,35 @@ def linear_combine(a: float, phi: ChaosVector, b: float, psi: ChaosVector) -> Ch
 class ChaosProcess:
     """Time-cell-indexed family of chaos vectors on one grid.
 
-    Values may be given as a list (one vector per cell) or as a generator
-    function ``cell -> ChaosVector``, materialized lazily and cached.
+    A process holds one of three storage forms: a list of values (one
+    vector per cell), a generator function ``cell -> ChaosVector``
+    materialized lazily and cached, or its order stacks (``stacks``).  Each
+    held stack has an ``order``, one row per cell from cell 0 (cells past
+    the last row are zero) and a ``kernel(row)``; ``at(j)`` builds cell
+    ``j``'s vector from row ``j`` when asked, and the integrals read the
+    rows themselves (``stacked._order_stacks``).
     """
 
-    __slots__ = ("grid", "_values", "_fn")
+    __slots__ = ("grid", "stacks", "_values", "_fn")
 
-    def __init__(self, grid: GridSpec, values=None, fn=None):
+    def __init__(self, grid: GridSpec, values=None, fn=None, stacks=None):
         self.grid = grid
-        if (values is None) == (fn is None):
-            raise ValueError("provide exactly one of values or fn")
+        if (values is None) + (fn is None) + (stacks is None) != 2:
+            raise ValueError("provide exactly one of values, fn or stacks")
         if values is not None:
             values = list(values)
             if len(values) != grid.cells:
                 raise ValueError(f"need {grid.cells} values, got {len(values)}")
             for v in values:
                 same_grid(grid, v.grid)
+        if stacks is not None:
+            stacks = tuple(stacks)
+            for stack in stacks:
+                same_grid(grid, stack.grid)
+                if len(stack.rows) > grid.cells:
+                    raise ValueError(f"order-{stack.order} stack has {len(stack.rows)} rows, "
+                                     f"more than {grid.cells} cells")
+        self.stacks = stacks
         self._values = values if values is not None else [None] * grid.cells
         self._fn = fn
 
@@ -276,6 +289,11 @@ class ChaosProcess:
         return ChaosProcess(grid, fn=fn)
 
     @staticmethod
+    def from_stacks(grid: GridSpec, stacks) -> "ChaosProcess":
+        """The process held as its order stacks, by ascending order."""
+        return ChaosProcess(grid, stacks=stacks)
+
+    @staticmethod
     def constant(grid: GridSpec, vec: ChaosVector) -> "ChaosProcess":
         return ChaosProcess(grid, values=[vec] * grid.cells)
 
@@ -284,8 +302,12 @@ class ChaosProcess:
             raise ValueError(f"cell {j} outside grid with {self.grid.cells} cells")
         v = self._values[j]
         if v is None:
-            v = self._fn(j)
-            same_grid(self.grid, v.grid)
+            if self.stacks is not None:
+                v = ChaosVector(self.grid, {stack.order: stack.kernel(stack.rows[j]) for stack in self.stacks
+                                            if j < len(stack.rows) and stack.rows[j].any()})
+            else:
+                v = self._fn(j)
+                same_grid(self.grid, v.grid)
             self._values[j] = v
         return v
 

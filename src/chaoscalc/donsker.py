@@ -24,9 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec
 from .kernels import LayeredKernel, SymKernel
+from .stacked import _OrderStack
 from .vmbv import _integral
 from .volterra import FbmKernel, OuKernel
 
@@ -63,17 +66,24 @@ def donsker_norm_series(t: float, lam: float, N: int) -> float:
     Equals the squared weighted norm of the truncated tensor build exactly
     whenever ``t`` is a whole number of cells.  Diverges for ``lam <= 0``.
     """
-    if lam <= 0:
-        raise ValueError(f"series diverges for lam <= 0, got {lam}")
+    total = _norm_series_sum(lam, N)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
+    return total / (2.0 * math.pi * t)
+
+
+def _norm_series_sum(lam: float, N: int) -> float:
+    """``sum_{n <= N} (2n)! / (4^n (n!)^2 e^{4 lam n})``, the part of the
+    squared-norm series that does not depend on ``t``."""
+    if lam <= 0:
+        raise ValueError(f"series diverges for lam <= 0, got {lam}")
     x = math.exp(-4.0 * lam) / 4.0
     term = 1.0
     total = 1.0
     for n in range(N):
         term *= 2.0 * (2 * n + 1) / (n + 1) * x
         total += term
-    return total / (2.0 * math.pi * t)
+    return total
 
 
 def donsker_norm_limit(t: float, lam: float) -> float:
@@ -101,17 +111,32 @@ class DonskerSpec:
 
 def donsker_process(grid: GridSpec, N: int, eps: float) -> ChaosProcess:
     """The left-cut process: zero below ``eps``, the point-mass composition
-    at the cell's left endpoint from ``eps`` on."""
+    at the cell's left endpoint from ``eps`` on.
+
+    Held as its order stacks, built in closed form: order ``2n`` is the
+    constant ``c_n(t_j)`` on the layers below cell ``j``, and ``c_n`` runs
+    the recurrence of ``donsker_delta`` over all cells at once, so row ``j``
+    is ``donsker_delta(t_j, N, grid)`` bit for bit."""
     eps_cell = _check_aligned_time(grid, eps, "eps")
     if eps_cell < 1:
         raise ValueError("eps must cover at least one cell: the t=0 value does not exist")
-
-    def value(j: int) -> ChaosVector:
-        if j < eps_cell:
-            return ChaosVector.zero(grid)
-        return donsker_delta(grid.t_left(j), N, grid)
-
-    return ChaosProcess.from_function(grid, value)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    cells = np.arange(eps_cell, grid.cells)
+    t = cells * grid.step
+    coeff = 1.0 / np.sqrt(2.0 * math.pi * t)
+    scalars = np.zeros((grid.cells, 1))
+    scalars[eps_cell:, 0] = coeff
+    stacks = [_OrderStack(grid, 0, np.zeros((1, 0), dtype=np.int64), scalars)]
+    layers_below = np.arange(grid.cells) < cells[:, None]
+    for n in range(1, N + 1):
+        coeff = coeff * (-1.0 / (2.0 * t * n))
+        rows = np.zeros((grid.cells, grid.cells))
+        # + 0.0: a coefficient that underflows to -0.0 leaves a zero row, as
+        # the dropped component of donsker_delta does
+        rows[eps_cell:] = np.where(layers_below, coeff[:, None] + 0.0, 0.0)
+        stacks.append(_OrderStack(grid, 2 * n, None, rows))
+    return ChaosProcess.from_stacks(grid, stacks)
 
 
 @dataclass(frozen=True)
@@ -166,6 +191,7 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
     a3_by_lambda = {}
     bound_by_lambda = {}
     for lam, report in zip(lambdas, reports):
+        series = _norm_series_sum(lam, N)  # donsker_norm_series is series / (2 pi s)
         bounds = []
         for s_cell in range(t_cell):
             s_left = grid.t_left(s_cell)
@@ -173,7 +199,7 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
                 bounds.append(math.inf)
                 continue
             decay = 1.0 - math.exp(-alpha * (t - s_left)) if alpha > 0 else 0.0
-            bounds.append(4.0 * donsker_norm_series(s_left, lam, N) * decay)
+            bounds.append(4.0 * (series / (2.0 * math.pi * s_left)) * decay)
         dominated = all(
             a <= b * (1 + 1e-12) + 1e-300 for a, b in zip(report.a3, bounds)
         )

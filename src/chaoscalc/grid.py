@@ -33,10 +33,12 @@ class GridSpec:
         return self.horizon / self.cells
 
     def cell(self, t: float) -> int:
-        """Cell index covering time ``t``; total on ``[0, horizon)``."""
+        """Cell index covering time ``t``; total on ``[0, horizon)``.  A time
+        within the alignment tolerance of a boundary is that boundary, as in
+        ``snap_down``: ``t = 0.3`` on a step of 0.1 is in cell 3."""
         if not (0.0 <= t < self.horizon):
             raise ValueError(f"time {t} outside [0, {self.horizon})")
-        return min(int(t / self.step), self.cells - 1)
+        return min(self.snap_down(t), self.cells - 1)
 
     def t_left(self, j: int) -> float:
         """Left endpoint of cell ``j``."""

@@ -268,6 +268,11 @@ class SymKernel:
         """Number of stored coefficients, read from the form the kernel holds."""
         return len(self._entries) if self._rows is None else len(self._rows[1])
 
+    @property
+    def holds_arrays(self) -> bool:
+        """Whether the kernel holds its canonical arrays rather than a dict."""
+        return self._rows is not None
+
     def is_zero(self) -> bool:
         # a kernel that holds arrays holds at least _ARRAY_MIN_ENTRIES of them
         return self._rows is None and not self._entries
@@ -400,14 +405,15 @@ class SymKernel:
         """Entries in lexicographic order; on held arrays the rows of
         ``arrays()``, which is the order ``sorted(entries.items())`` gives."""
         if self._rows is not None:
+            # each row of ``tolist`` is already a list of its own
             tuples, coef = self.arrays()
-            ents = zip(tuples.tolist(), coef.tolist())
+            entries = list(map(list, zip(tuples.tolist(), coef.tolist())))
         else:
-            ents = sorted(self._entries.items())
+            entries = [[list(t), c] for t, c in sorted(self._entries.items())]
         return {
             "order": self.order,
             "grid": self.grid.to_json(),
-            "entries": [[list(t), c] for t, c in ents],
+            "entries": entries,
         }
 
     @staticmethod
@@ -669,15 +675,24 @@ class TimeSlotSymKernel:
         q = self._q
         step = self.grid.step
         p1 = self.phi
-        wq = layer_weights(self.grid, q)
+        # one power table: the layer weights of orders q and q - 1 are its
+        # differences (``layer_weights``), and ``below[r] = t_r ** (q - 1)``
+        t = np.arange(self.grid.cells + 1) * step
+        pq, pq1 = t ** q, t ** (q - 1)
+        wq, wq1, below = pq[1:] - pq[:-1], pq1[1:] - pq1[:-1], pq1[:-1]
         direct = step * float(np.einsum("sr,sr,r->", p1, p2, wq))
-        wq1 = layer_weights(self.grid, q - 1)
-        c1, c2 = np.cumsum(p1, axis=0), np.cumsum(p2, axis=0)
-        idx = np.arange(self.grid.cells)
-        below = (idx * step) ** (q - 1)
+        c1 = np.cumsum(p1, axis=0)
+        if p2 is p1:  # a norm: both cross terms are the same product
+            c2 = c1
+            cross = c1 * p1.T
+            cross = cross + cross
+        else:
+            c2 = np.cumsum(p2, axis=0)
+            cross = c1 * p2.T + c2 * p1.T
+        # ``below`` is non-decreasing, so its value at min(s, a) is the smaller one
         swapped = (np.einsum("rr,rr,r->", c1, c2, wq1)
-                   + np.einsum("r,ra->", wq1, np.triu(c1 * p2.T + c2 * p1.T, 1))
-                   + np.einsum("sa,as,sa->", p1, p2, below[np.minimum.outer(idx, idx)]))
+                   + np.einsum("r,ra->", wq1, np.triu(cross, 1))
+                   + np.einsum("sa,as,sa->", p1, p2, np.minimum.outer(below, below)))
         return (direct + q * step * step * float(swapped)) / (q + 1)
 
     def inner(self, other) -> float:

@@ -72,20 +72,45 @@ class _OrderStack:
 
     @staticmethod
     def of(grid: GridSpec, order: int, comps: list) -> "_OrderStack":
-        """Stack of one component (or None) per cell."""
+        """Stack of one component (or None) per cell.  Sparse components
+        that hold arrays are read as arrays, the others as dicts, so no
+        component is turned into the other form."""
         if order > 0 and all(c is None or isinstance(c, LayeredKernel) for c in comps):
             zero = np.zeros(grid.cells)
             return _OrderStack(grid, order, None, np.array([zero if c is None else c.layers for c in comps]))
-        entries = [(s, c.to_sparse().entries) for s, c in enumerate(comps) if c is not None]
+        sparse = [(s, c.to_sparse()) for s, c in enumerate(comps) if c is not None]
+        entries = [(s, c.entries) for s, c in sparse if not c.holds_arrays]
         sizes = [len(e) for _, e in entries]
         total = sum(sizes)
         tuples = np.fromiter(chain.from_iterable(chain.from_iterable(e) for _, e in entries),
                              dtype=np.int64, count=total * order).reshape(total, order)
+        values = np.fromiter(chain.from_iterable(e.values() for _, e in entries), dtype=float, count=total)
+        cells = np.repeat([s for s, _ in entries], sizes).astype(np.int64, copy=False)
+        if len(entries) < len(sparse):
+            held = [(s, c.arrays()) for s, c in sparse if c.holds_arrays]
+            tuples = np.concatenate([tuples] + [t for _, (t, _) in held])
+            values = np.concatenate([values] + [v for _, (_, v) in held])
+            cells = np.concatenate([cells] + [np.full(len(v), s) for s, (_, v) in held])
         keys, index = unique_rows(tuples)
         rows = np.zeros((len(comps), len(keys)))
-        rows[np.repeat([s for s, _ in entries], sizes), index] = np.fromiter(
-            chain.from_iterable(e.values() for _, e in entries), dtype=float, count=total)
+        rows[cells, index] = values
         return _OrderStack(grid, order, keys, rows)
+
+    def below(self, t_cell: int) -> "_OrderStack | None":
+        """The rows of the cells below ``t``, rows past the last zero, and
+        of a sparse stack only the keys live there: what ``of`` gives for
+        the kernels of those rows.  None when every row there is zero."""
+        rows = self.rows[:t_cell]
+        if len(rows) < t_cell:
+            rows = np.concatenate([rows, np.zeros((t_cell - len(rows), rows.shape[1]))])
+        if self.layered:
+            return self.with_rows(rows) if rows.any() else None
+        live = rows.any(axis=0)
+        if not live.any():
+            return None
+        if live.all():
+            return self.with_rows(rows)
+        return _OrderStack(self.grid, self.order, self.tuples[live], rows[:, live])
 
     @property
     def layered(self) -> bool:
@@ -161,7 +186,10 @@ class _OrderStack:
 
 def _order_stacks(phi: ChaosProcess, t_cell: int) -> list[_OrderStack]:
     """The order stacks of a process over the cells below ``t``, by
-    ascending order."""
+    ascending order.  A process held as stacks gives its rows below ``t``
+    (``_OrderStack.below``); any other is stacked from its cell values."""
+    if phi.stacks is not None:
+        return [b for b in (stack.below(t_cell) for stack in phi.stacks) if b is not None]
     cells = [phi.at(s).components for s in range(t_cell)]
     orders = sorted(set().union(*cells))
     return [_OrderStack.of(phi.grid, n, [c.get(n) for c in cells]) for n in orders]

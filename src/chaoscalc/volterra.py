@@ -19,9 +19,12 @@ The built-in kernel families:
 
 The kernel action ``(K phi)(s) = g(t,s) phi(s) + sum_u w_u (phi(u) - phi(s))``
 is linear in the cell values of ``phi``, so at a fixed horizon it is one
-matrix ``A(t) = diag(g - sum_u W) + W`` (``KernelAction``).  It is built once
-per integral and acts on each chaos order as one matmul, over the stacked
-layers of layered kernels or the canonical tuples of sparse ones.  The
+matrix ``A(t) = diag(g - sum_u W) + W`` (``KernelAction``).  Its weights
+``W`` come from one table of ``g`` at the cell boundaries; ``kernel_measure``
+computes the same increments one cell at a time for the public API and the
+oracles.  The action is built once per integral and acts on each chaos order
+as one matmul, over the stacked layers of layered kernels or the canonical
+tuples of sparse ones.  The
 integrability diagnostics A(3), B(4), B(5) and their aggregate are norms on
 the weighted scale, so they come from lambda-free per-order tables
 (``DiagnosticTables``); the weight index enters only as the last
@@ -33,10 +36,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .chaos import ChaosProcess, ChaosVector, order_weighted_sum
+from .chaos import ChaosProcess, order_weighted_sum
 from .grid import GridSpec
 from .stacked import _ENTRY_BLOCK, _order_stacks, _OrderStack
 
@@ -418,18 +422,30 @@ class KernelAction:
 
 
 def kernel_action(k: VolterraKernel, grid: GridSpec, t: float) -> KernelAction:
-    """Build the kernel action matrix of ``k`` at horizon ``t``."""
+    """Build the kernel action matrix of ``k`` at horizon ``t``.
+
+    One pass evaluates ``G[s, j] = g(t_j, s_mid)`` at the boundaries
+    ``s < j <= t_cell`` of every cell ``s`` but the last, with the scalar
+    ``evaluate_clipped``; the Stieltjes weights are its differences along
+    ``j``, ``W[s, j] = G[s, j + 1] - G[s, j]``, the increments that
+    ``kernel_measure`` takes cell by cell.  A cell counts once as clipped
+    for ``g(t, s)`` and once for its weights."""
     t_cell = grid.snap_down(t)
     if t_cell < 1:
         raise ValueError(f"t={t} must cover at least one cell")
-    g = np.empty(t_cell)
-    weights = np.zeros((t_cell, t_cell))
-    clipped = 0
-    for s in range(t_cell):
-        g[s], was_clipped = k.evaluate_clipped(t, grid.t_mid(s), grid.step)
-        mw = _stieltjes_weights(k, grid, s, t_cell)
-        weights[s, list(mw.cells)] = mw.weights
-        clipped += int(was_clipped) + int(mw.clipped)
+    step = grid.step
+    mids = [grid.t_mid(s) for s in range(t_cell)]
+    bounds = [grid.t_left(j) for j in range(t_cell + 1)]
+    at_t = [k.evaluate_clipped(t, mid, step) for mid in mids]
+    # row s holds g(t_j, s_mid) for s < j <= t_cell; the last cell has no weights
+    rows = [[k.evaluate_clipped(u, mid, step) for u in bounds[s + 1:]] for s, mid in enumerate(mids[:-1])]
+    upper = np.arange(t_cell + 1) > np.arange(t_cell)[:, None]
+    upper[-1] = False
+    table = np.zeros((t_cell, t_cell + 1))
+    table[upper] = [v for v, _ in chain.from_iterable(rows)]  # row-major, as the rows
+    weights = np.where(upper[:, :-1], np.diff(table, axis=1), 0.0)
+    g = np.array([v for v, _ in at_t])
+    clipped = sum(c for _, c in at_t) + sum(any(c for _, c in row) for row in rows)
     matrix = weights + np.diag(g - weights.sum(axis=1))
     return KernelAction(grid, t, g, weights, matrix, clipped)
 
@@ -440,17 +456,11 @@ def kg_apply(phi: ChaosProcess, k: VolterraKernel, t: float) -> ChaosProcess:
         value(s) = g(t, s) * phi(s) + sum_u w_u * (phi(u) - phi(s)),
 
     with ``w`` the exact Stieltjes cell weights over ``(s, t)``.  Cells at or
-    above ``t`` map to zero.  One matmul per chaos order.
+    above ``t`` map to zero.  One matmul per chaos order; the result holds
+    the acted order stacks.
     """
-    grid = phi.grid
-    action = kernel_action(k, grid, t)
-    comps: list[dict] = [{} for _ in range(action.t_cell)]
-    for stack in action.act(_order_stacks(phi, action.t_cell)):
-        for s in np.flatnonzero(stack.rows.any(axis=1)).tolist():
-            comps[s][stack.order] = stack.kernel(stack.rows[s])
-    values = [ChaosVector(grid, c) for c in comps]
-    values += [ChaosVector.zero(grid)] * (grid.cells - action.t_cell)
-    return ChaosProcess.from_values(grid, values)
+    action = kernel_action(k, phi.grid, t)
+    return ChaosProcess.from_stacks(phi.grid, action.act(_order_stacks(phi, action.t_cell)))
 
 
 @dataclass(frozen=True)

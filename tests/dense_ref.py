@@ -28,6 +28,7 @@ from chaoscalc import (
     skorohod,
 )
 from chaoscalc.kernels import layer_weights, multiplicity
+from chaoscalc.volterra import _stieltjes_weights
 
 
 def dense_from_kernel(k) -> np.ndarray:
@@ -180,6 +181,21 @@ def _cell_weights(k, grid: GridSpec, s_cell: int, t_cell: int):
         return [], False
     mw = kernel_measure(k, grid, grid.t_mid(s_cell), grid.t_left(s_cell + 1), grid.t_left(t_cell))
     return list(mw.items()), mw.clipped
+
+
+def kernel_action_per_cell(k, grid: GridSpec, t: float):
+    """``(g, weights, matrix, clipped_cells)`` of the kernel action assembled
+    row by row from ``_stieltjes_weights``, one ``kernel_measure`` per cell."""
+    t_cell = grid.snap_down(t)
+    g = np.empty(t_cell)
+    weights = np.zeros((t_cell, t_cell))
+    clipped = 0
+    for s in range(t_cell):
+        g[s], was_clipped = k.evaluate_clipped(t, grid.t_mid(s), grid.step)
+        mw = _stieltjes_weights(k, grid, s, t_cell)
+        weights[s, list(mw.cells)] = mw.weights
+        clipped += int(was_clipped) + int(mw.clipped)
+    return g, weights, weights + np.diag(g - weights.sum(axis=1)), clipped
 
 
 def kg_apply_per_cell(phi, k, t: float) -> list[ChaosVector]:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from chaoscalc import (
+    ChaosVector,
     TestFunctionXi,
     donsker_delta,
     donsker_norm_series,
@@ -17,6 +18,7 @@ from chaoscalc import (
     truncate,
 )
 from chaoscalc.donsker import DonskerSpec, donsker_norm_limit
+from chaoscalc.kernels import LayeredKernel
 
 GRID = make_grid(1.0, 8)
 
@@ -124,6 +126,41 @@ def test_process_cut():
     assert not proc.at(2).is_zero()
     with pytest.raises(ValueError):
         donsker_process(GRID, 6, 0.0)
+
+
+@pytest.mark.parametrize("M, N, eps", [(8, 0, 0.125), (16, 6, 0.25), (32, 12, 0.5), (8, 4, 1.0), (64, 160, 0.25)])
+def test_process_cells_are_the_point_mass_bit_for_bit(M, N, eps):
+    """The held stacks give, at every cell, ``donsker_delta`` at the cell's
+    left endpoint (zero below the cut), in the same storage forms and to the
+    last bit; at N = 160 the top coefficients underflow on some cells."""
+    grid = make_grid(1.0, M)
+    proc = donsker_process(grid, N, eps)
+    assert proc.stacks is not None
+    eps_cell = grid.snap_down(eps)
+    for j in range(M):
+        got = proc.at(j)
+        want = donsker_delta(grid.t_left(j), N, grid) if j >= eps_cell else ChaosVector.zero(grid)
+        assert got.orders() == want.orders()
+        for n, comp in want.components.items():
+            mine = got.components[n]
+            assert type(mine) is type(comp)
+            if isinstance(comp, LayeredKernel):
+                assert mine.layers.tobytes() == comp.layers.tobytes()
+            else:
+                assert mine.entries == comp.entries
+    with pytest.raises(ValueError):
+        donsker_process(grid, -1, eps)
+
+
+def test_experiment_bounds_are_the_norm_series_per_cell():
+    g = make_grid(1.0, 16)
+    alpha, N = 0.8, 10
+    rep = donsker_vmbv_experiment(alpha, 0.25, 1.0, N, [0.5, 1.0], g)
+    for lam, bounds in rep.bound_by_lambda.items():
+        assert bounds[0] == math.inf
+        for s_cell, b in enumerate(bounds[1:], start=1):
+            s_left = g.t_left(s_cell)
+            assert b == 4.0 * donsker_norm_series(s_left, lam, N) * (1.0 - math.exp(-alpha * (1.0 - s_left)))
 
 
 def test_experiment_domination_and_finiteness():

@@ -61,6 +61,17 @@ def test_cell_lookup_total_on_horizon():
         g.cell(1.0)
 
 
+def test_cell_of_a_boundary_time_is_the_cell_it_starts():
+    """0.3 / 0.1 rounds to 2.9999999999999996; within the alignment
+    tolerance it is boundary 3, as ``snap_down`` says."""
+    g = make_grid(1.0, 10)
+    assert g.cell(0.3) == g.snap_down(0.3) == 3
+    assert g.cell(0.29) == 2
+    assert g.cell(0.9999999999) == 9
+    for j in range(10):
+        assert g.cell(j / 10) == j
+
+
 def test_sym_store_positional_averaging():
     g = make_grid(1.0, 8)
     k = sym_store(2, [((0, 1), 1.0), ((1, 0), 0.0)], g, mode="positional")

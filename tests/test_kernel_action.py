@@ -1,15 +1,19 @@
 """The kernel action as one matrix and the lambda-free diagnostic tables,
 against the cell-by-cell algorithms of ``dense_ref``."""
 
+import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import chaoscalc.vmbv as vmbv_mod
 from chaoscalc import (
     ChaosProcess,
     ChaosVector,
+    FbmKernel,
     OuKernel,
+    TableKernel,
     TurbulenceKernel,
     assumption_report,
     donsker_process,
@@ -17,9 +21,11 @@ from chaoscalc import (
     kg_apply,
     make_grid,
 )
+from chaoscalc.stacked import _order_stacks
 from chaoscalc.testing import random_chaos_process, rng_from
 from chaoscalc.volterra import DiagnosticTables, KernelAction, kernel_action
-from dense_ref import assumption_report_per_cell, kg_apply_per_cell, order_weighted_sum_scalar
+from dense_ref import (assumption_report_per_cell, kernel_action_per_cell, kg_apply_per_cell,
+                       order_weighted_sum_scalar)
 
 GRID = make_grid(1.0, 16)
 GRID12 = make_grid(1.0, 12)  # a step that is not a power of two: the singular kernel clips
@@ -113,3 +119,53 @@ def test_report_contraction_matches_per_cell_scalar_sums():
             assert getattr(got, name) == pytest.approx(want, rel=1e-13, abs=0.0), name
         want_s_max = max(a * GRID.t_left(s) for s, a in enumerate(want_a3))
         assert got.a3_times_s_max == pytest.approx(want_s_max, rel=1e-13)
+
+
+ACTION_KERNELS = {
+    "ou": lambda: OuKernel(alpha=1.0),
+    "turbulence-0.7": lambda: TurbulenceKernel(alpha=1.0, nu=0.7),
+    "turbulence-1.4": lambda: TurbulenceKernel(alpha=0.5, nu=1.4),
+    "fbm-0.3": lambda: FbmKernel(0.3),
+    "fbm-0.5": lambda: FbmKernel(0.5),
+    "fbm-0.7": lambda: FbmKernel(0.7),
+    "table": lambda: TableKernel.from_array(rng_from(97).uniform(-1.0, 1.0, (9, 9)), 1.0),
+}
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5, 0.3, 0.99])
+@pytest.mark.parametrize("M", [8, 16, 33, 64])
+@pytest.mark.parametrize("name", sorted(ACTION_KERNELS))
+def test_kernel_action_equals_the_per_cell_weights(name, M, t):
+    """The one-pass table gives the row-by-row ``_stieltjes_weights``
+    assembly bit for bit, clip count included."""
+    grid = make_grid(1.0, M)
+    action = kernel_action(ACTION_KERNELS[name](), grid, t)
+    g, weights, matrix, clipped = kernel_action_per_cell(ACTION_KERNELS[name](), grid, t)
+    for got, want in ((action.g, g), (action.weights, weights), (action.matrix, matrix)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert action.clipped_cells == clipped
+    if name == "turbulence-0.7" and M == 33:
+        assert clipped > 0
+
+
+def former_kg_apply(phi, k, t):
+    """The acted stacks of ``kg_apply`` turned into one chaos vector per
+    cell, as ``kg_apply`` returned them before it held its stacks."""
+    grid = phi.grid
+    action = kernel_action(k, grid, t)
+    comps = [{} for _ in range(grid.cells)]
+    for stack in action.act(_order_stacks(phi, action.t_cell)):
+        for s in np.flatnonzero(stack.rows.any(axis=1)).tolist():
+            comps[s][stack.order] = stack.kernel(stack.rows[s])
+    return [ChaosVector(grid, c) for c in comps]
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kg_apply_values_are_unchanged(name, t):
+    proc, kernel = CASES[name]
+    got = kg_apply(proc, kernel, t)
+    assert got.stacks is not None
+    for s, want in enumerate(former_kg_apply(proc, kernel, t)):
+        assert json.dumps(got.at(s).to_json()) == json.dumps(want.to_json())
+        assert [type(c) for c in got.at(s).components.values()] == [type(c) for c in want.components.values()]

@@ -26,12 +26,13 @@ from chaoscalc import (
     integrate_sigma,
     integrate_strongind,
     integrate_wick,
+    kg_apply,
     make_grid,
     pointwise,
     wick,
 )
-from chaoscalc.kernels import TimeSlotSymKernel, kernel_from_json
-from chaoscalc.stacked import _OrderStack
+from chaoscalc.kernels import TimeSlotSymKernel, _multisets, kernel_from_json
+from chaoscalc.stacked import _order_stacks, _OrderStack
 from chaoscalc.testing import random_chaos_process, random_chaos_vector, random_sym_kernel, rng_from
 
 from dense_ref import composed_integral
@@ -472,3 +473,68 @@ def test_arrays_of_shuffled_and_canonical_kernels_equal_lexsorted_form(order):
         assert np.array_equal(got_t, want_t) and np.array_equal(got_c, want_c)
     got_t, got_c = SymKernel.from_arrays(order, grid, want_t, want_c).arrays()
     assert np.array_equal(got_t, want_t) and np.array_equal(got_c, want_c)
+
+
+# -- held order stacks -------------------------------------------------------
+
+
+def cell_stacks(proc: ChaosProcess, t_cell: int) -> list[_OrderStack]:
+    """The order stacks of the process's cell values, stacked cell by cell."""
+    return _order_stacks(ChaosProcess.from_values(proc.grid, list(proc)), t_cell)
+
+
+def assert_same_stacks(got: list[_OrderStack], want: list[_OrderStack]):
+    """Orders, storage forms, keys and rows equal to the last bit."""
+    assert [s.order for s in got] == [s.order for s in want]
+    for a, b in zip(got, want):
+        assert a.layered == b.layered
+        if not a.layered:
+            assert a.tuples.shape == b.tuples.shape and a.tuples.tobytes() == b.tuples.tobytes()
+        assert a.rows.shape == b.rows.shape and a.rows.tobytes() == b.rows.tobytes()
+
+
+HELD = {
+    "point mass": lambda grid: donsker_process(grid, 6, 0.25),
+    # the top coefficients underflow on the cells far from 0
+    "point mass, N = 160": lambda grid: donsker_process(grid, 160, 0.25),
+    "kg_apply of a sparse process": lambda grid: kg_apply(
+        random_chaos_process(grid, 3, rng_from(101), n_entries=4), OuKernel(alpha=1.0), 1.0),
+    # rows stop at t = 0.5: the stacks below a later horizon are padded
+    "kg_apply of a sparse process at t = 0.5": lambda grid: kg_apply(
+        random_chaos_process(grid, 2, rng_from(103), n_entries=4), TurbulenceKernel(alpha=1.0, nu=0.8), 0.5),
+    "kg_apply of the point mass": lambda grid: kg_apply(donsker_process(grid, 4, 0.25), OuKernel(alpha=1.0), 0.75),
+}
+
+
+@pytest.mark.parametrize("M", [16, 32])
+@pytest.mark.parametrize("name", sorted(HELD))
+def test_held_stacks_equal_the_stacks_of_their_cell_values(name, M):
+    grid = make_grid(1.0, M)
+    proc = HELD[name](grid)
+    assert proc.stacks is not None
+    for t_cell in (M, M // 2, 3):
+        assert_same_stacks(_order_stacks(proc, t_cell), cell_stacks(proc, t_cell))
+
+
+def test_stacking_kernels_that_hold_arrays_builds_no_dict():
+    """Cell values that hold arrays (as an integral's output does) are read
+    as arrays, beside cells that hold dicts, with the stacks of the dict
+    path to the last bit."""
+    grid = make_grid(1.0, 8)
+    rng = rng_from(107)
+    tuples = _multisets(4, np.ones(grid.cells, dtype=bool))  # 330 keys
+    coefs = [rng.standard_normal(len(tuples)) * (rng.uniform(size=len(tuples)) < 0.9) for _ in range(3)]
+    held = [SymKernel.from_arrays(4, grid, tuples, c) for c in coefs]
+    dicts = [SymKernel(4, grid, dict(zip(map(tuple, tuples.tolist()), c.tolist()))) for c in coefs]
+    assert all(k.holds_arrays for k in held) and not any(k.holds_arrays for k in dicts)
+    small = [random_chaos_vector(grid, 4, rng, n_entries=5) for _ in range(grid.cells)]
+
+    def process(big):
+        values = [ChaosVector(grid, {**v.components, 4: big[j // 3]}) if j % 3 == 0 else v
+                  for j, v in enumerate(small)]
+        return ChaosProcess.from_values(grid, values)
+
+    for t_cell in (grid.cells, 5):
+        got = _order_stacks(process(held), t_cell)
+        assert all(k._entries is None for k in held)
+        assert_same_stacks(got, _order_stacks(process(dicts), t_cell))

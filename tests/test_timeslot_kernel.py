@@ -194,6 +194,38 @@ def test_time_slot_inner_products_match_per_cell_loops(order, cells):
     assert abs(a.inner(layered) - g_layered_inner_per_cell(a, layers)) <= 1e-12 * scale
 
 
+def _gg_inner_three_powers(k: TimeSlotSymKernel, p2: np.ndarray) -> float:
+    """``_gg_inner`` as it was first written: both cumulative sums, the
+    layer weights from ``layer_weights`` and ``below`` gathered by index."""
+    q, step, p1 = k.order - 1, k.grid.step, k.phi
+    wq = layer_weights(k.grid, q)
+    direct = step * float(np.einsum("sr,sr,r->", p1, p2, wq))
+    wq1 = layer_weights(k.grid, q - 1)
+    c1, c2 = np.cumsum(p1, axis=0), np.cumsum(p2, axis=0)
+    idx = np.arange(k.grid.cells)
+    below = (idx * step) ** (q - 1)
+    swapped = (np.einsum("rr,rr,r->", c1, c2, wq1)
+               + np.einsum("r,ra->", wq1, np.triu(c1 * p2.T + c2 * p1.T, 1))
+               + np.einsum("sa,as,sa->", p1, p2, below[np.minimum.outer(idx, idx)]))
+    return (direct + q * step * step * float(swapped)) / (q + 1)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5, 16, 33, 64])
+@pytest.mark.parametrize("order", [2, 3, 7, 25])
+def test_time_slot_norms_and_inners_keep_their_bits(order, cells):
+    """One power table per call and, for a norm, one cumulative sum give
+    the same bits as the three power computations and two sums."""
+    g = make_grid(1.0, cells)
+    rng = rng_from(2000 * order + cells)
+    a = TimeSlotSymKernel(order, g, rng.standard_normal((cells, cells)))
+    b = TimeSlotSymKernel(order, g, rng.standard_normal((cells, cells)))
+    layered = LayeredKernel(order, g, rng.standard_normal(cells))
+    assert a.norm_sq() == _gg_inner_three_powers(a, a.phi)
+    assert a.norm_sq() == a.inner(TimeSlotSymKernel(order, g, a.phi.copy()))
+    assert a.inner(b) == _gg_inner_three_powers(a, b.phi)
+    assert a.inner(layered) == _gg_inner_three_powers(a, a._table_of(layered))
+
+
 @pytest.mark.parametrize("cells", [2, 5, 8])
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_slice_matches_slice_of_densified(order, cells):
