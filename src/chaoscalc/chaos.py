@@ -250,11 +250,10 @@ class ChaosProcess:
 
     A process holds one of three storage forms: a list of values (one
     vector per cell), a generator function ``cell -> ChaosVector``
-    materialized lazily and cached, or its order stacks (``stacks``).  Each
-    held stack has an ``order``, one row per cell from cell 0 (cells past
-    the last row are zero) and a ``kernel(row)``; ``at(j)`` builds cell
-    ``j``'s vector from row ``j`` when asked, and the integrals read the
-    rows themselves (``stacked._order_stacks``).
+    materialized lazily and cached, or its order stacks (``stacks``, built
+    and read by ``stacked``).  ``at(j)`` builds cell ``j``'s vector from
+    each stack's ``kernel_at(j)`` when asked, and the integrals read the
+    stacks themselves (``stacked._order_stacks``).
     """
 
     __slots__ = ("grid", "stacks", "_values", "_fn")
@@ -303,8 +302,8 @@ class ChaosProcess:
         v = self._values[j]
         if v is None:
             if self.stacks is not None:
-                v = ChaosVector(self.grid, {stack.order: stack.kernel(stack.rows[j]) for stack in self.stacks
-                                            if j < len(stack.rows) and stack.rows[j].any()})
+                v = ChaosVector(self.grid, {stack.order: k for stack in self.stacks
+                                            if (k := stack.kernel_at(j)) is not None})
             else:
                 v = self._fn(j)
                 same_grid(self.grid, v.grid)

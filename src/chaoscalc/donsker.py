@@ -29,7 +29,7 @@ import numpy as np
 from .chaos import ChaosProcess, ChaosVector
 from .grid import GridSpec
 from .kernels import LayeredKernel, SymKernel
-from .stacked import _OrderStack
+from .stacked import layered_stack, scalar_stack
 from .vmbv import _integral
 from .volterra import FbmKernel, OuKernel
 
@@ -66,10 +66,7 @@ def donsker_norm_series(t: float, lam: float, N: int) -> float:
     Equals the squared weighted norm of the truncated tensor build exactly
     whenever ``t`` is a whole number of cells.  Diverges for ``lam <= 0``.
     """
-    total = _norm_series_sum(lam, N)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return total / (2.0 * math.pi * t)
+    return _norm_series_at(_norm_series_sum(lam, N), t)
 
 
 def _norm_series_sum(lam: float, N: int) -> float:
@@ -84,6 +81,13 @@ def _norm_series_sum(lam: float, N: int) -> float:
         term *= 2.0 * (2 * n + 1) / (n + 1) * x
         total += term
     return total
+
+
+def _norm_series_at(total: float, t: float) -> float:
+    """The squared-norm series at time ``t`` from its ``t``-free sum."""
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t}")
+    return total / (2.0 * math.pi * t)
 
 
 def donsker_norm_limit(t: float, lam: float) -> float:
@@ -125,9 +129,9 @@ def donsker_process(grid: GridSpec, N: int, eps: float) -> ChaosProcess:
     cells = np.arange(eps_cell, grid.cells)
     t = cells * grid.step
     coeff = 1.0 / np.sqrt(2.0 * math.pi * t)
-    scalars = np.zeros((grid.cells, 1))
-    scalars[eps_cell:, 0] = coeff
-    stacks = [_OrderStack(grid, 0, np.zeros((1, 0), dtype=np.int64), scalars)]
+    scalars = np.zeros(grid.cells)
+    scalars[eps_cell:] = coeff
+    stacks = [scalar_stack(grid, scalars)]
     layers_below = np.arange(grid.cells) < cells[:, None]
     for n in range(1, N + 1):
         coeff = coeff * (-1.0 / (2.0 * t * n))
@@ -135,7 +139,7 @@ def donsker_process(grid: GridSpec, N: int, eps: float) -> ChaosProcess:
         # + 0.0: a coefficient that underflows to -0.0 leaves a zero row, as
         # the dropped component of donsker_delta does
         rows[eps_cell:] = np.where(layers_below, coeff[:, None] + 0.0, 0.0)
-        stacks.append(_OrderStack(grid, 2 * n, None, rows))
+        stacks.append(layered_stack(grid, 2 * n, rows))
     return ChaosProcess.from_stacks(grid, stacks)
 
 
@@ -191,7 +195,7 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
     a3_by_lambda = {}
     bound_by_lambda = {}
     for lam, report in zip(lambdas, reports):
-        series = _norm_series_sum(lam, N)  # donsker_norm_series is series / (2 pi s)
+        series = _norm_series_sum(lam, N)
         bounds = []
         for s_cell in range(t_cell):
             s_left = grid.t_left(s_cell)
@@ -199,7 +203,7 @@ def donsker_vmbv_experiment(alpha: float, eps: float, t: float, N: int,
                 bounds.append(math.inf)
                 continue
             decay = 1.0 - math.exp(-alpha * (t - s_left)) if alpha > 0 else 0.0
-            bounds.append(4.0 * (series / (2.0 * math.pi * s_left)) * decay)
+            bounds.append(4.0 * _norm_series_at(series, s_left) * decay)
         dominated = all(
             a <= b * (1 + 1e-12) + 1e-300 for a, b in zip(report.a3, bounds)
         )

@@ -268,11 +268,6 @@ class SymKernel:
         """Number of stored coefficients, read from the form the kernel holds."""
         return len(self._entries) if self._rows is None else len(self._rows[1])
 
-    @property
-    def holds_arrays(self) -> bool:
-        """Whether the kernel holds its canonical arrays rather than a dict."""
-        return self._rows is not None
-
     def is_zero(self) -> bool:
         # a kernel that holds arrays holds at least _ARRAY_MIN_ENTRIES of them
         return self._rows is None and not self._entries

@@ -72,28 +72,19 @@ class _OrderStack:
 
     @staticmethod
     def of(grid: GridSpec, order: int, comps: list) -> "_OrderStack":
-        """Stack of one component (or None) per cell.  Sparse components
-        that hold arrays are read as arrays, the others as dicts, so no
-        component is turned into the other form."""
+        """Stack of one component (or None) per cell."""
         if order > 0 and all(c is None or isinstance(c, LayeredKernel) for c in comps):
             zero = np.zeros(grid.cells)
-            return _OrderStack(grid, order, None, np.array([zero if c is None else c.layers for c in comps]))
-        sparse = [(s, c.to_sparse()) for s, c in enumerate(comps) if c is not None]
-        entries = [(s, c.entries) for s, c in sparse if not c.holds_arrays]
+            return layered_stack(grid, order, np.array([zero if c is None else c.layers for c in comps]))
+        entries = [(s, c.to_sparse().entries) for s, c in enumerate(comps) if c is not None]
         sizes = [len(e) for _, e in entries]
         total = sum(sizes)
         tuples = np.fromiter(chain.from_iterable(chain.from_iterable(e) for _, e in entries),
                              dtype=np.int64, count=total * order).reshape(total, order)
-        values = np.fromiter(chain.from_iterable(e.values() for _, e in entries), dtype=float, count=total)
-        cells = np.repeat([s for s, _ in entries], sizes).astype(np.int64, copy=False)
-        if len(entries) < len(sparse):
-            held = [(s, c.arrays()) for s, c in sparse if c.holds_arrays]
-            tuples = np.concatenate([tuples] + [t for _, (t, _) in held])
-            values = np.concatenate([values] + [v for _, (_, v) in held])
-            cells = np.concatenate([cells] + [np.full(len(v), s) for s, (_, v) in held])
         keys, index = unique_rows(tuples)
         rows = np.zeros((len(comps), len(keys)))
-        rows[cells, index] = values
+        rows[np.repeat([s for s, _ in entries], sizes), index] = np.fromiter(
+            chain.from_iterable(e.values() for _, e in entries), dtype=float, count=total)
         return _OrderStack(grid, order, keys, rows)
 
     def below(self, t_cell: int) -> "_OrderStack | None":
@@ -141,6 +132,13 @@ class _OrderStack:
             return LayeredKernel(self.order, self.grid, row)
         return SymKernel.from_arrays(self.order, self.grid, self.tuples, row)
 
+    def kernel_at(self, j: int):
+        """Cell ``j``'s component; None where its row is zero, and past the
+        last row, where the cells are zero."""
+        if j >= len(self.rows) or not self.rows[j].any():
+            return None
+        return self.kernel(self.rows[j])
+
     def support(self) -> np.ndarray:
         """``[cell, grid cell]`` mask of the cells each row's kernel
         depends on, as ``support_cells`` of that kernel."""
@@ -169,10 +167,9 @@ class _OrderStack:
         cells = np.arange(len(rows))
         if self.layered:
             if n == 1:
-                return _OrderStack(self.grid, 0, np.zeros((1, 0), dtype=np.int64),
-                                   n * rows[cells, cells][:, None])
+                return scalar_stack(self.grid, n * rows[cells, cells])
             at = np.maximum.outer(cells, np.arange(self.grid.cells))
-            return _OrderStack(self.grid, n - 1, None, n * np.take_along_axis(rows, at, axis=1))
+            return layered_stack(self.grid, n - 1, n * np.take_along_axis(rows, at, axis=1))
         # one slice per distinct cell of a tuple at a cell below t
         keys, cols, sliced = _splits(self.tuples, 1)
         cols = cols[:, 0]
@@ -182,6 +179,17 @@ class _OrderStack:
         out = np.zeros((len(rows), len(out_keys)))
         out[cols, index] = n * rows[cols, keys]
         return _OrderStack(self.grid, n - 1, out_keys, out)
+
+
+def layered_stack(grid: GridSpec, order: int, rows: np.ndarray) -> _OrderStack:
+    """The order-``order`` stack of layered components: ``rows[s, r]`` is
+    cell ``s``'s value on layer ``r``."""
+    return _OrderStack(grid, order, None, rows)
+
+
+def scalar_stack(grid: GridSpec, values: np.ndarray) -> _OrderStack:
+    """The order-0 stack of one scalar per cell."""
+    return _OrderStack(grid, 0, np.zeros((1, 0), dtype=np.int64), values[:, None])
 
 
 def _order_stacks(phi: ChaosProcess, t_cell: int) -> list[_OrderStack]:
@@ -480,7 +488,7 @@ def _integrate(grid: GridSpec, t_cell: int, acted: list[_OrderStack],
     the integral calls none of them.
     """
     if vols is None:
-        vols = [_OrderStack(grid, 0, np.zeros((1, 0), dtype=np.int64), np.ones((t_cell, 1)))]
+        vols = [scalar_stack(grid, np.ones(t_cell))]
     skor = _skorohod_step(grid, t_cell, _products(acted, vols, t_cell, contract))
     # a sparse stack whose tuples hold no cell below t has a derivative with no entry
     derivatives = [d for d in (x.derivative() for x in acted if x.order > 0) if d.rows.any()]

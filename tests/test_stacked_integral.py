@@ -31,7 +31,7 @@ from chaoscalc import (
     pointwise,
     wick,
 )
-from chaoscalc.kernels import TimeSlotSymKernel, _multisets, kernel_from_json
+from chaoscalc.kernels import TimeSlotSymKernel, kernel_from_json
 from chaoscalc.stacked import _order_stacks, _OrderStack
 from chaoscalc.testing import random_chaos_process, random_chaos_vector, random_sym_kernel, rng_from
 
@@ -515,26 +515,3 @@ def test_held_stacks_equal_the_stacks_of_their_cell_values(name, M):
     for t_cell in (M, M // 2, 3):
         assert_same_stacks(_order_stacks(proc, t_cell), cell_stacks(proc, t_cell))
 
-
-def test_stacking_kernels_that_hold_arrays_builds_no_dict():
-    """Cell values that hold arrays (as an integral's output does) are read
-    as arrays, beside cells that hold dicts, with the stacks of the dict
-    path to the last bit."""
-    grid = make_grid(1.0, 8)
-    rng = rng_from(107)
-    tuples = _multisets(4, np.ones(grid.cells, dtype=bool))  # 330 keys
-    coefs = [rng.standard_normal(len(tuples)) * (rng.uniform(size=len(tuples)) < 0.9) for _ in range(3)]
-    held = [SymKernel.from_arrays(4, grid, tuples, c) for c in coefs]
-    dicts = [SymKernel(4, grid, dict(zip(map(tuple, tuples.tolist()), c.tolist()))) for c in coefs]
-    assert all(k.holds_arrays for k in held) and not any(k.holds_arrays for k in dicts)
-    small = [random_chaos_vector(grid, 4, rng, n_entries=5) for _ in range(grid.cells)]
-
-    def process(big):
-        values = [ChaosVector(grid, {**v.components, 4: big[j // 3]}) if j % 3 == 0 else v
-                  for j, v in enumerate(small)]
-        return ChaosProcess.from_values(grid, values)
-
-    for t_cell in (grid.cells, 5):
-        got = _order_stacks(process(held), t_cell)
-        assert all(k._entries is None for k in held)
-        assert_same_stacks(got, _order_stacks(process(dicts), t_cell))
